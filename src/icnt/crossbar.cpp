@@ -78,22 +78,27 @@ void Crossbar::TickPort(Port& port, bool to_core, Cycle now) {
 }
 
 void Crossbar::Deliver(Cycle now) {
-  // flight_ is FIFO by serialization completion; deliver every packet whose
-  // time has come and whose destination queue has room. Blocked packets
-  // stay (and block later arrivals to preserve point-to-point ordering).
-  std::deque<InFlight> still_flying;
-  for (InFlight& f : flight_) {
-    const bool due = f.deliver_at <= now;
-    auto& queues = f.to_core ? to_core_ : to_partition_;
-    if (due && queues[f.pkt.dst].size() < kDeliveryQueueCap) {
-      queues[f.pkt.dst].push_back(f.pkt);
+  // The hop latency is constant, so flight_ (FIFO by serialization
+  // completion) is ordered by deliver_at and only its prefix is due.
+  // Deliver every due packet whose destination queue has room. Blocked
+  // packets are compacted to the front in order; they block later arrivals
+  // to the same queue, which preserves point-to-point ordering.
+  std::size_t kept = 0;
+  std::size_t due = 0;
+  for (; due < flight_.size() && flight_[due].deliver_at <= now; ++due) {
+    const InFlight& f = flight_[due];
+    auto& queue = (f.to_core ? to_core_ : to_partition_)[f.pkt.dst];
+    if (queue.size() < kDeliveryQueueCap) {
+      queue.push_back(f.pkt);
       ++packets_delivered;
       m_delivered_->Add();
     } else {
-      still_flying.push_back(f);
+      if (kept != due) flight_[kept] = f;
+      ++kept;
     }
   }
-  flight_.swap(still_flying);
+  flight_.erase(flight_.begin() + static_cast<std::ptrdiff_t>(kept),
+                flight_.begin() + static_cast<std::ptrdiff_t>(due));
 }
 
 void Crossbar::Tick(Cycle now) {

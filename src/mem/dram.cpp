@@ -29,10 +29,12 @@ std::uint64_t DramChannel::RowOf(Addr block) const {
 
 void DramChannel::Enqueue(const Request& req) {
   assert(CanAccept());
-  queue_.push_back(req);
+  const std::uint32_t bank = BankOf(req.block);
+  queue_.push_back(Queued{req, bank, RowOf(req.block)});
+  first_bank_free_ = std::min(first_bank_free_, banks_[bank].busy_until);
 }
 
-std::vector<DramChannel::Completion> DramChannel::Tick(Cycle now) {
+void DramChannel::IssueFirstReady(Cycle now) {
   // Issue at most one command per cycle to the first queued request whose
   // bank is free (first-ready scheduling; the bounded queue prevents
   // unbounded starvation of blocked-bank requests).
@@ -45,33 +47,36 @@ std::vector<DramChannel::Completion> DramChannel::Tick(Cycle now) {
       1, (line_bytes_ + cfg_.bus_bytes_per_cycle - 1) /
              cfg_.bus_bytes_per_cycle);
   for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-    Bank& bank = banks_[BankOf(it->block)];
+    Bank& bank = banks_[it->bank];
     if (bank.busy_until > now) continue;
-    const std::uint64_t row = RowOf(it->block);
-    const bool row_hit = bank.open_row == row;
+    const bool row_hit = bank.open_row == it->row;
     row_hit ? ++row_hits : ++row_misses;
     const Cycle latency = row_hit ? cfg_.t_row_hit : cfg_.t_row_miss;
     const Cycle occupancy = row_hit ? burst : cfg_.t_rc + burst;
-    bank.open_row = row;
+    bank.open_row = it->row;
     bank.busy_until = now + occupancy;
     bus_busy_until_ = std::max(bus_busy_until_, now + latency) + burst;
-    it->write ? ++writes : ++reads;
-    (it->write ? m_writes_ : m_reads_)->Add();
+    const Request& req = it->req;
+    req.write ? ++writes : ++reads;
+    (req.write ? m_writes_ : m_reads_)->Add();
     in_service_.push_back(
-        InService{Completion{it->block, it->write, it->tag}, bus_busy_until_});
+        InService{Completion{req.block, req.write, req.tag}, bus_busy_until_});
     queue_.erase(it);
     break;
   }
+  first_bank_free_ = std::numeric_limits<Cycle>::max();
+  for (const Queued& q : queue_) {
+    first_bank_free_ = std::min(first_bank_free_, banks_[q.bank].busy_until);
+  }
+}
+
+std::vector<DramChannel::Completion> DramChannel::Tick(Cycle now) {
+  if (first_bank_free_ <= now) IssueFirstReady(now);
 
   std::vector<Completion> done;
-  auto it = in_service_.begin();
-  while (it != in_service_.end()) {
-    if (it->done_at <= now) {
-      done.push_back(it->completion);
-      it = in_service_.erase(it);
-    } else {
-      ++it;
-    }
+  while (!in_service_.empty() && in_service_.front().done_at <= now) {
+    done.push_back(in_service_.front().completion);
+    in_service_.pop_front();
   }
   return done;
 }

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <vector>
 
 #include "sim/config.h"
@@ -62,18 +63,31 @@ class DramChannel {
     std::uint64_t open_row = ~0ull;
   };
 
+  struct Queued {
+    Request req;
+    std::uint32_t bank = 0;
+    std::uint64_t row = 0;
+  };
+
   struct InService {
     Completion completion;
     Cycle done_at = 0;
   };
 
+  /// Issues at most one queued request whose bank is free at `now`.
+  void IssueFirstReady(Cycle now);
+
   DramConfig cfg_;
   std::uint32_t line_bytes_;
   std::uint32_t lines_per_row_;
-  std::deque<Request> queue_;
+  std::deque<Queued> queue_;
   std::vector<Bank> banks_;
-  std::vector<InService> in_service_;
+  // done_at is bus_busy_until_ at issue, which only grows: FIFO by done_at.
+  std::deque<InService> in_service_;
   Cycle bus_busy_until_ = 0;
+  // Earliest busy_until among the banks of queued requests (max when the
+  // queue is empty): before that cycle no queued request can issue.
+  Cycle first_bank_free_ = std::numeric_limits<Cycle>::max();
   obs::Counter* m_reads_ = nullptr;   // mem.dram_reads
   obs::Counter* m_writes_ = nullptr;  // mem.dram_writes
 

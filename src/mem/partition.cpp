@@ -15,7 +15,8 @@ MemoryPartition::MemoryPartition(const SimConfig& cfg, PartitionId id)
           "mem", "requests_served",
           "read replies injected back into the interconnect")) {}
 
-void MemoryPartition::ScheduleReply(const IcntPacket& request,
+void MemoryPartition::ScheduleReply(std::deque<PendingReply>& fifo,
+                                    const IcntPacket& request,
                                     Cycle ready_at) {
   IcntPacket reply;
   reply.kind = IcntPacket::Kind::kReadReply;
@@ -26,14 +27,14 @@ void MemoryPartition::ScheduleReply(const IcntPacket& request,
   reply.token = request.token;
   reply.pc = request.pc;
   reply.bytes = cfg_.l2.geom.line_bytes + cfg_.icnt.control_overhead;
-  replies_.push_back(PendingReply{reply, ready_at});
+  fifo.push_back(PendingReply{reply, ready_at, next_reply_seq_++});
 }
 
 void MemoryPartition::HandleDramCompletions(Cycle now) {
   for (const DramChannel::Completion& done : dram_.Tick(now)) {
     if (done.write) continue;  // fire-and-forget
     for (const IcntPacket& waiter : l2_.Fill(done.block)) {
-      ScheduleReply(waiter, now);
+      ScheduleReply(dram_replies_, waiter, now);
     }
     // Allocate-on-fill can displace a dirty line at fill time.
     for (Addr wb : l2_.TakeWritebacks()) {
@@ -43,16 +44,23 @@ void MemoryPartition::HandleDramCompletions(Cycle now) {
 }
 
 void MemoryPartition::PushReplies(Cycle now, Crossbar& icnt) {
-  auto it = replies_.begin();
-  while (it != replies_.end()) {
-    if (it->ready_at <= now && icnt.CanInjectFromPartition(id_)) {
-      icnt.InjectFromPartition(id_, it->pkt);
-      ++requests_served;
-      m_served_->Add();
-      it = replies_.erase(it);
-    } else {
-      ++it;
-    }
+  // Inject ready replies in schedule order until the port fills: merge the
+  // ready heads of the two FIFOs by sequence number.
+  while (icnt.CanInjectFromPartition(id_)) {
+    const bool l2_ready =
+        !l2_replies_.empty() && l2_replies_.front().ready_at <= now;
+    const bool dram_ready =
+        !dram_replies_.empty() && dram_replies_.front().ready_at <= now;
+    if (!l2_ready && !dram_ready) break;
+    std::deque<PendingReply>& fifo =
+        l2_ready && (!dram_ready ||
+                     l2_replies_.front().seq < dram_replies_.front().seq)
+            ? l2_replies_
+            : dram_replies_;
+    icnt.InjectFromPartition(id_, fifo.front().pkt);
+    ++requests_served;
+    m_served_->Add();
+    fifo.pop_front();
   }
 }
 
@@ -83,7 +91,7 @@ void MemoryPartition::Tick(Cycle now, Crossbar& icnt) {
       case IcntPacket::Kind::kReadRequest: {
         switch (l2_.AccessRead(block, pkt)) {
           case L2Cache::Result::kHit:
-            ScheduleReply(pkt, now + cfg_.l2.latency);
+            ScheduleReply(l2_replies_, pkt, now + cfg_.l2.latency);
             break;
           case L2Cache::Result::kMissIssued:
             dram_backlog_.push_back(
@@ -129,7 +137,7 @@ void MemoryPartition::Tick(Cycle now, Crossbar& icnt) {
 MemoryPartition::QueueDepths MemoryPartition::Depths() const {
   QueueDepths d;
   d.retry = retry_.size();
-  d.replies = replies_.size();
+  d.replies = l2_replies_.size() + dram_replies_.size();
   d.dram_backlog = dram_backlog_.size();
   d.dram_queue = dram_.queue_depth();
   d.dram_in_service = dram_.in_service_depth();
@@ -138,8 +146,8 @@ MemoryPartition::QueueDepths MemoryPartition::Depths() const {
 }
 
 bool MemoryPartition::Idle() const {
-  return replies_.empty() && retry_.empty() && dram_backlog_.empty() &&
-         dram_.Idle();
+  return l2_replies_.empty() && dram_replies_.empty() && retry_.empty() &&
+         dram_backlog_.empty() && dram_.Idle();
 }
 
 }  // namespace dlpsim

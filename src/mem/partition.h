@@ -48,9 +48,11 @@ class MemoryPartition {
   struct PendingReply {
     IcntPacket pkt;
     Cycle ready_at = 0;
+    std::uint64_t seq = 0;  // schedule order across both reply FIFOs
   };
 
-  void ScheduleReply(const IcntPacket& request, Cycle ready_at);
+  void ScheduleReply(std::deque<PendingReply>& fifo, const IcntPacket& request,
+                     Cycle ready_at);
   void PushReplies(Cycle now, Crossbar& icnt);
   void HandleDramCompletions(Cycle now);
 
@@ -58,7 +60,11 @@ class MemoryPartition {
   PartitionId id_;
   L2Cache l2_;
   DramChannel dram_;
-  std::deque<PendingReply> replies_;     // FIFO of replies awaiting icnt
+  // Replies awaiting the icnt, one FIFO per source. Each source's ready_at
+  // only grows, so the ready replies of a FIFO are a prefix of it.
+  std::deque<PendingReply> l2_replies_;    // L2 hits: now + l2.latency
+  std::deque<PendingReply> dram_replies_;  // DRAM fills: now
+  std::uint64_t next_reply_seq_ = 0;
   std::deque<IcntPacket> retry_;         // requests stalled by the L2
   std::deque<DramChannel::Request> dram_backlog_;  // L2 misses / writes
   std::uint64_t fault_stall_cycles_ = 0;           // robust/: ticks to swallow

@@ -25,9 +25,9 @@ const std::vector<std::uint32_t>& ClockDomainSet::Tick() {
     if (d.next_ns < min_next) min_next = d.next_ns;
     if (d.period_ns < min_period) min_period = d.period_ns;
   }
-  // Domains whose edge is within half the fastest period of the earliest
-  // edge fire together; this keeps 1:1 domains (core/icnt) in lockstep
-  // despite floating-point drift.
+  // Domains whose edge is within 1e-9 times the fastest period of the
+  // earliest edge fire together; this keeps 1:1 domains (core/icnt) in
+  // lockstep despite floating-point drift.
   const double slack = min_period * 1e-9;
   now_ns_ = min_next;
   for (std::uint32_t i = 0; i < domains_.size(); ++i) {

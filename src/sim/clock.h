@@ -20,8 +20,9 @@ class ClockDomainSet {
   std::uint32_t AddDomain(std::string name, double freq_mhz);
 
   /// Advances simulated time to the next domain edge(s). All domains whose
-  /// edge falls on that instant (within half the smallest period) fire
-  /// together, in registration order. Returns indices of fired domains.
+  /// edge falls on that instant (within a slack of 1e-9 times the smallest
+  /// period) fire together, in registration order. Returns indices of
+  /// fired domains.
   const std::vector<std::uint32_t>& Tick();
 
   /// Number of ticks domain `idx` has received so far.

@@ -10,12 +10,19 @@
 namespace dlpsim {
 namespace {
 
+// gtest prints a parameter without a PrintTo overload as its raw bytes,
+// and ctest's discovered test names embed that print. Implicit padding
+// would leak stack garbage (including ASLR'd addresses) into the names,
+// so the padding is spelled out and zeroed.
 struct SweepParam {
   PolicyKind policy;
+  std::uint8_t pad0[3] = {};
   std::uint32_t ways;
   SchedulerKind sched;
   WritePolicy write;
+  std::uint8_t pad1[2] = {};
 };
+static_assert(sizeof(SweepParam) == 12);
 
 std::string ParamName(const ::testing::TestParamInfo<SweepParam>& info) {
   std::string name = ToString(info.param.policy);
@@ -80,14 +87,20 @@ INSTANTIATE_TEST_SUITE_P(
            {PolicyKind::kBaseline, PolicyKind::kStallBypass,
             PolicyKind::kGlobalProtection, PolicyKind::kDlp}) {
         for (std::uint32_t ways : {2u, 4u, 8u}) {
-          params.push_back(
-              {policy, ways, SchedulerKind::kGto, WritePolicy::kWriteBackOnHit});
+          params.push_back({.policy = policy,
+                            .ways = ways,
+                            .sched = SchedulerKind::kGto,
+                            .write = WritePolicy::kWriteBackOnHit});
         }
         // Scheduler and write-policy variants at baseline geometry.
-        params.push_back(
-            {policy, 4u, SchedulerKind::kLrr, WritePolicy::kWriteBackOnHit});
-        params.push_back(
-            {policy, 4u, SchedulerKind::kGto, WritePolicy::kWriteEvict});
+        params.push_back({.policy = policy,
+                          .ways = 4u,
+                          .sched = SchedulerKind::kLrr,
+                          .write = WritePolicy::kWriteBackOnHit});
+        params.push_back({.policy = policy,
+                          .ways = 4u,
+                          .sched = SchedulerKind::kGto,
+                          .write = WritePolicy::kWriteEvict});
       }
       return params;
     }()),

@@ -240,6 +240,48 @@ TEST(Crossbar, OrderSurvivesDeliveryQueueBackpressure) {
   }
 }
 
+TEST(Crossbar, FullDeliveryQueueBlocksOnlyItsOwnDestination) {
+  // Partition 0's delivery queue (cap 16) fills and 4 due packets for it
+  // stay in flight. A later packet for partition 1 must still land on the
+  // cycle it is due, and partition 0's packets must keep injection order.
+  Crossbar xbar(FastIcnt(), 1, 2);
+  Cycle now = 0;
+  int injected = 0;
+  while (injected < 20) {
+    if (xbar.CanInjectFromCore(0)) {
+      xbar.InjectFromCore(0, ReadReq(0, 0, static_cast<Addr>(injected++)));
+    }
+    xbar.Tick(++now);
+  }
+  TickN(xbar, now, 10);  // every packet has serialized and is due
+  Crossbar::QueueDepths d = xbar.Depths();
+  ASSERT_EQ(d.to_partition, 16u);
+  ASSERT_EQ(d.in_flight, 4u);
+
+  xbar.InjectFromCore(0, ReadReq(0, 1, 0x99));
+  const Cycle due = now + 5;  // 1 serialize + 4 latency
+  while (now + 1 < due) {
+    xbar.Tick(++now);
+    EXPECT_FALSE(xbar.HasForPartition(1)) << "early at " << now;
+  }
+  xbar.Tick(++now);
+  ASSERT_TRUE(xbar.HasForPartition(1));
+  EXPECT_EQ(xbar.PopForPartition(1).addr, 0x99u);
+  EXPECT_EQ(xbar.Depths().in_flight, 4u);  // the blocked ones still wait
+
+  std::vector<Addr> order;
+  while (!xbar.Idle() && now < 500) {
+    while (xbar.HasForPartition(0)) {
+      order.push_back(xbar.PopForPartition(0).addr);
+    }
+    xbar.Tick(++now);
+  }
+  ASSERT_EQ(order.size(), 20u);
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(order[i], static_cast<Addr>(i)) << "position " << i;
+  }
+}
+
 TEST(Crossbar, SmallPacketCannotOvertakeLargeOnSamePort) {
   Crossbar xbar(FastIcnt(), 1, 1);
   Cycle now = 0;

@@ -212,6 +212,35 @@ TEST(Dram, QueueAndInServiceDepthsTrackIssue) {
   EXPECT_EQ(dram.in_service_depth(), 0u);
 }
 
+TEST(Dram, RequestBehindBusyBanksIssuesTheCycleItsBankFrees) {
+  DramConfig cfg = SmallDram();
+  cfg.banks = 4;  // lines 0-3 bank 0, 4-7 bank 1, 8-11 bank 2; 16 bank 0
+  DramChannel dram(cfg, 128);
+  dram.Enqueue({0, false, 0});  // bank 0 row miss: issued at 0, busy to 28
+  dram.Enqueue({4, false, 1});  // bank 1 row miss: issued at 1, busy to 29
+  dram.Tick(0);
+  dram.Tick(1);
+  dram.Enqueue({16, false, 2});  // bank 0, row 1: waits for cycle 28
+  dram.Enqueue({20, false, 3});  // bank 1, row 1: waits for cycle 29
+  for (Cycle now = 2; now < 10; ++now) dram.Tick(now);
+  EXPECT_EQ(dram.queue_depth(), 2u);
+
+  // Queued behind two busy-bank requests, a free-bank request issues on
+  // the very cycle it arrives.
+  dram.Enqueue({8, false, 4});
+  dram.Tick(10);
+  EXPECT_EQ(dram.queue_depth(), 2u);
+  EXPECT_EQ(dram.in_service_depth(), 3u);
+
+  for (Cycle now = 11; now < 28; ++now) dram.Tick(now);
+  EXPECT_EQ(dram.queue_depth(), 2u);
+  dram.Tick(28);  // bank 0 frees
+  EXPECT_EQ(dram.queue_depth(), 1u);
+  dram.Tick(29);  // bank 1 frees
+  EXPECT_EQ(dram.queue_depth(), 0u);
+  EXPECT_EQ(dram.row_misses, 5u);
+}
+
 TEST(Dram, IdleReflectsState) {
   DramChannel dram(SmallDram(), 128);
   EXPECT_TRUE(dram.Idle());

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <vector>
+
 namespace dlpsim {
 namespace {
 
@@ -140,6 +143,78 @@ TEST(MemoryPartition, MergedReadsGetIndividualReplies) {
   EXPECT_EQ(replies, 2);
   EXPECT_EQ(part.dram().reads, 1u);  // one fetch for both
   EXPECT_EQ(part.l2().stats().mshr_merges, 1u);
+}
+
+TEST(MemoryPartition, RepliesLeaveInScheduleOrderAcrossL2AndDram) {
+  // Replies queue while the partition's crossbar port is full: a DRAM fill
+  // (token 3), then an L2 hit (token 2), then a second fill (token 1)
+  // that becomes ready on the same memory cycle as the hit. Once the port
+  // drains they must reach the core in schedule order: 3, 2, 1.
+  SimConfig cfg = FastConfig();
+  cfg.num_cores = 2;
+  Crossbar icnt(cfg.icnt, 2, 1);
+  MemoryPartition part(cfg, 0);
+  Cycle now = 0;
+  std::vector<MshrToken> got;
+  auto step = [&] {
+    ++now;
+    part.Tick(now, icnt);
+    icnt.Tick(now);
+    while (icnt.HasForCore(0)) got.push_back(icnt.PopForCore(0).token);
+    while (icnt.HasForCore(1)) icnt.PopForCore(1);
+  };
+
+  // Warm the L2 with the block the hit will read.
+  const Addr hit_addr = 0x1000;
+  icnt.InjectFromCore(0, ReadReq(hit_addr, 0, 100));
+  while (got.empty() && now < 2000) step();
+  ASSERT_EQ(got, std::vector<MshrToken>{100});
+  got.clear();
+
+  // Fill the partition port with long filler replies for core 1.
+  IcntPacket filler;
+  filler.kind = IcntPacket::Kind::kReadReply;
+  filler.dst = 1;
+  filler.bytes = 32 * 400;  // 400 icnt cycles each at 32 B/cycle
+  while (icnt.CanInjectFromPartition(0)) icnt.InjectFromPartition(0, filler);
+
+  // Requests reach the partition one per cycle: two misses to different
+  // DRAM banks at cycles t and t+1, then spacers, then the hit. Fill 3
+  // issues at t+1 and lands at t+1+t_row_miss+burst = t+17; fill 1 issues
+  // at t+2 and queues behind it on the data bus until t+25. The hit is
+  // processed at t+2+kSpacers and ready l2.latency = 4 cycles later.
+  constexpr int kSpacers = 19;
+  const Addr row_bytes = cfg.dram.row_bytes;
+  std::deque<IcntPacket> to_send = {ReadReq(0x40000, 0, 3),
+                                    ReadReq(0x40000 + row_bytes, 0, 1)};
+  IcntPacket spacer;
+  spacer.kind = IcntPacket::Kind::kOther;
+  spacer.bytes = 8;
+  for (int i = 0; i < kSpacers; ++i) to_send.push_back(spacer);
+  to_send.push_back(ReadReq(hit_addr, 0, 2));
+
+  std::vector<Cycle> scheduled;  // cycles the reply count grew
+  std::size_t replies = 0;
+  while (scheduled.size() < 3 && now < 2000) {
+    while (!to_send.empty() && icnt.CanInjectFromCore(0)) {
+      icnt.InjectFromCore(0, to_send.front());
+      to_send.pop_front();
+    }
+    step();
+    const std::size_t depth = part.Depths().replies;
+    if (depth > replies) scheduled.push_back(now);
+    replies = depth;
+  }
+  ASSERT_EQ(scheduled.size(), 3u);
+  ASSERT_TRUE(got.empty()) << "port should still be full";
+  // Fill 3 is ready when scheduled; the hit is ready l2.latency after it is
+  // scheduled, on the same cycle as fill 1.
+  EXPECT_EQ(scheduled[1] + cfg.l2.latency, scheduled[2])
+      << "fill " << scheduled[0] << " hit " << scheduled[1] << " fill "
+      << scheduled[2];
+
+  while (got.size() < 3 && now < 20000) step();
+  EXPECT_EQ(got, (std::vector<MshrToken>{3, 2, 1}));
 }
 
 TEST(MemoryPartition, IdleWhenDrained) {
