@@ -312,12 +312,17 @@ RunResult SimulateUncached(const std::string& abbr, const std::string& config,
   PerSmProfiler profiler(cfg.num_cores, cfg.l1d.geom.sets);
   profiler.AttachTo(gpu);
 
-  const bool tracing = TraceEnabled();
-  TraceSink sink(env::U64("DLPSIM_TRACE_EVENTS", 1u << 20));
-  TimelineSampler timeline(env::U64("DLPSIM_TRACE_INTERVAL", 5000));
-  if (tracing) {
-    gpu.SetTraceSink(&sink);
-    gpu.SetTimeline(&timeline);
+  // Trace buffers exist only under DLPSIM_TRACE: the default ring of
+  // 2^20 events alone is 56 MiB.
+  std::unique_ptr<TraceSink> sink;
+  std::unique_ptr<TimelineSampler> timeline;
+  if (TraceEnabled()) {
+    sink = std::make_unique<TraceSink>(
+        env::U64("DLPSIM_TRACE_EVENTS", 1u << 20));
+    timeline = std::make_unique<TimelineSampler>(
+        env::U64("DLPSIM_TRACE_INTERVAL", 5000));
+    gpu.SetTraceSink(sink.get());
+    gpu.SetTimeline(timeline.get());
   }
 
   // Observability hooks. The phase profiler is per-cell (the Profiler is
@@ -378,8 +383,8 @@ RunResult SimulateUncached(const std::string& abbr, const std::string& config,
   result.profile.reuse_misses = profiler.reuse_misses();
   result.profile.compulsory = profiler.compulsory_accesses();
 
-  if (tracing) {
-    ExportTrace(abbr, config, scale, cfg, result.metrics, timeline, sink);
+  if (sink != nullptr) {
+    ExportTrace(abbr, config, scale, cfg, result.metrics, *timeline, *sink);
   }
   if (phase_profiler != nullptr) {
     ExportProfile(abbr, config, *phase_profiler);

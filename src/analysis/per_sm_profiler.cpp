@@ -1,64 +1,44 @@
 #include "analysis/per_sm_profiler.h"
 
+#include <stdexcept>
+#include <string>
+
 namespace dlpsim {
 
-PerSmProfiler::PerSmProfiler(std::uint32_t num_sms, std::uint32_t sets) {
-  rd_.reserve(num_sms);
-  reuse_.reserve(num_sms);
-  composite_.reserve(num_sms);
-  for (std::uint32_t i = 0; i < num_sms; ++i) {
-    rd_.push_back(std::make_unique<RdProfiler>(sets));
-    reuse_.push_back(std::make_unique<ReuseMissTracker>(sets));
-    auto comp = std::make_unique<CompositeObserver>();
-    comp->Add(rd_.back().get());
-    comp->Add(reuse_.back().get());
-    composite_.push_back(std::move(comp));
-  }
-}
+PerSmProfiler::PerSmProfiler(std::uint32_t num_sms, std::uint32_t sets)
+    : rd_(num_sms, RdProfiler(sets)) {}
 
 void PerSmProfiler::AttachTo(GpuSimulator& gpu) {
-  for (std::size_t i = 0; i < gpu.cores().size() && i < composite_.size();
-       ++i) {
-    gpu.cores()[i].l1d().SetObserver(composite_[i].get());
+  std::vector<SmCore>& cores = gpu.cores();
+  if (cores.size() != rd_.size()) {
+    throw std::invalid_argument("PerSmProfiler: built for " +
+                                std::to_string(rd_.size()) + " SMs, not " +
+                                std::to_string(cores.size()));
+  }
+  for (std::size_t i = 0; i < cores.size(); ++i) {
+    if (cores[i].l1d().config().geom.sets != rd_[i].sets()) {
+      throw std::invalid_argument("PerSmProfiler: SM " + std::to_string(i) +
+                                  "'s L1D does not have " +
+                                  std::to_string(rd_[i].sets()) + " sets");
+    }
+  }
+  for (std::size_t i = 0; i < cores.size(); ++i) {
+    cores[i].l1d().SetObserver(&rd_[i]);
   }
 }
 
 RddHistogram PerSmProfiler::GlobalRdd() const {
   RddHistogram merged;
-  for (const auto& p : rd_) merged.Merge(p->global());
+  for (const RdProfiler& p : rd_) merged.Merge(p.global());
   return merged;
 }
 
 std::map<Pc, RddHistogram> PerSmProfiler::PerPcRdd() const {
   std::map<Pc, RddHistogram> merged;
-  for (const auto& p : rd_) {
-    for (const auto& [pc, hist] : p->per_pc()) merged[pc].Merge(hist);
+  for (const RdProfiler& p : rd_) {
+    for (const auto& [pc, hist] : p.per_pc()) merged[pc].Merge(hist);
   }
   return merged;
-}
-
-std::uint64_t PerSmProfiler::accesses() const {
-  std::uint64_t n = 0;
-  for (const auto& p : rd_) n += p->accesses();
-  return n;
-}
-
-std::uint64_t PerSmProfiler::reuse_accesses() const {
-  std::uint64_t n = 0;
-  for (const auto& p : reuse_) n += p->reuse_accesses();
-  return n;
-}
-
-std::uint64_t PerSmProfiler::reuse_misses() const {
-  std::uint64_t n = 0;
-  for (const auto& p : reuse_) n += p->reuse_misses();
-  return n;
-}
-
-std::uint64_t PerSmProfiler::compulsory_accesses() const {
-  std::uint64_t n = 0;
-  for (const auto& p : reuse_) n += p->compulsory_accesses();
-  return n;
 }
 
 }  // namespace dlpsim

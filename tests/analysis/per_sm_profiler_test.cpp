@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <stdexcept>
+
+#include "workloads/registry.h"
+
 namespace dlpsim {
 namespace {
 
@@ -13,9 +18,8 @@ TEST(PerSmProfiler, MergesAcrossSms) {
   auto* o1 = &prof.rd(1);
   (void)o0;
   (void)o1;
-  // Feed through the composite observers the same way the caches do.
-  // (Access the composites indirectly: attach is tested in the gpu
-  // integration suite; here we drive the profilers directly.)
+  // Attach is tested in the gpu integration suite; here we drive the
+  // per-SM profilers directly, the same way the caches do.
   PerSmProfiler p(2, 4);
   const_cast<RdProfiler&>(p.rd(0)).OnAccess(0, 1, 0, AccessType::kLoad,
                                             false);
@@ -39,14 +43,14 @@ TEST(PerSmProfiler, MergesAcrossSms) {
 
 TEST(PerSmProfiler, ReuseCountersSum) {
   PerSmProfiler p(2, 4);
-  const_cast<ReuseMissTracker&>(p.reuse(0)).OnAccess(0, 1, 0,
-                                                     AccessType::kLoad, false);
-  const_cast<ReuseMissTracker&>(p.reuse(0)).OnAccess(0, 1, 0,
-                                                     AccessType::kLoad, false);
-  const_cast<ReuseMissTracker&>(p.reuse(1)).OnAccess(0, 1, 0,
-                                                     AccessType::kLoad, false);
-  const_cast<ReuseMissTracker&>(p.reuse(1)).OnAccess(0, 1, 0,
-                                                     AccessType::kLoad, true);
+  const_cast<RdProfiler&>(p.rd(0)).OnAccess(0, 1, 0, AccessType::kLoad,
+                                            false);
+  const_cast<RdProfiler&>(p.rd(0)).OnAccess(0, 1, 0, AccessType::kLoad,
+                                            false);
+  const_cast<RdProfiler&>(p.rd(1)).OnAccess(0, 1, 0, AccessType::kLoad,
+                                            false);
+  const_cast<RdProfiler&>(p.rd(1)).OnAccess(0, 1, 0, AccessType::kLoad,
+                                            true);
   EXPECT_EQ(p.compulsory_accesses(), 2u);  // one first-touch per SM
   EXPECT_EQ(p.reuse_accesses(), 2u);
   EXPECT_EQ(p.reuse_misses(), 1u);
@@ -64,6 +68,38 @@ TEST(PerSmProfiler, PerPcMergeAddsHistograms) {
   const auto per_pc = p.PerPcRdd();
   ASSERT_EQ(per_pc.count(7), 1u);
   EXPECT_EQ(per_pc.at(7).total(), 2u);
+}
+
+SimConfig TwoSmGpu() {
+  SimConfig cfg;
+  cfg.num_cores = 2;
+  cfg.num_partitions = 2;
+  return cfg;
+}
+
+std::unique_ptr<Program> TinyKernel() {
+  ProgramBuilder b(1);
+  b.LoadStream();
+  return b.Build();
+}
+
+TEST(PerSmProfiler, AttachRejectsCoreCountMismatch) {
+  const SimConfig cfg = TwoSmGpu();
+  auto prog = TinyKernel();
+  GpuSimulator gpu(cfg, prog.get(), 1);
+  PerSmProfiler p(3, cfg.l1d.geom.sets);
+  EXPECT_THROW(p.AttachTo(gpu), std::invalid_argument);
+}
+
+TEST(PerSmProfiler, AttachRejectsSetCountMismatch) {
+  const SimConfig cfg = TwoSmGpu();
+  auto prog = TinyKernel();
+  GpuSimulator gpu(cfg, prog.get(), 1);
+  PerSmProfiler p(cfg.num_cores, cfg.l1d.geom.sets / 2);
+  EXPECT_THROW(p.AttachTo(gpu), std::invalid_argument);
+  // Nothing was attached: the run still completes untouched.
+  EXPECT_EQ(gpu.Run().completed, 1u);
+  EXPECT_EQ(p.accesses(), 0u);
 }
 
 TEST(CacheStatsRegistry, RegistersAllCounters) {
