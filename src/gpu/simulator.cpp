@@ -1,5 +1,8 @@
 #include "gpu/simulator.h"
 
+#include <stdexcept>
+#include <string>
+
 #include "obs/profiler.h"
 #include "obs/progress.h"
 #include "obs/trace_sink.h"
@@ -22,6 +25,12 @@ GpuSimulator::GpuSimulator(const SimConfig& cfg, const Program* program,
                            std::uint32_t warps_per_sm, SchedulerKind sched)
     : cfg_(Validated(cfg)),
       icnt_(cfg.icnt, cfg.num_cores, cfg.num_partitions) {
+  if (warps_per_sm == 0 || warps_per_sm > cfg.core.max_warps) {
+    throw std::invalid_argument(
+        "GpuSimulator: warps_per_sm must be in [1, core.max_warps = " +
+        std::to_string(cfg.core.max_warps) + "] (got " +
+        std::to_string(warps_per_sm) + ")");
+  }
   cores_.reserve(cfg.num_cores);
   for (SmId id = 0; id < cfg.num_cores; ++id) {
     cores_.emplace_back(cfg, id, program, warps_per_sm, sched);

@@ -37,7 +37,8 @@ class GpuSimulator {
   /// Launches `warps_per_sm` warps of `program` on every core. The program
   /// must outlive the simulator. Throws ConfigError when `cfg` fails
   /// SimConfig::Validate() -- before any subsystem is built, so a bad
-  /// configuration can never reach UB inside the tag arrays.
+  /// configuration can never reach UB inside the tag arrays. Throws
+  /// std::invalid_argument unless 1 <= warps_per_sm <= core.max_warps.
   GpuSimulator(const SimConfig& cfg, const Program* program,
                std::uint32_t warps_per_sm,
                SchedulerKind sched = SchedulerKind::kGto);

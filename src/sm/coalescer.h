@@ -13,13 +13,15 @@ namespace dlpsim {
 
 class Coalescer {
  public:
-  explicit Coalescer(std::uint32_t warp_size, std::uint32_t line_bytes)
-      : warp_size_(warp_size), line_bytes_(line_bytes) {}
+  /// Throws std::invalid_argument unless `line_bytes` is a power of two.
+  explicit Coalescer(std::uint32_t warp_size, std::uint32_t line_bytes);
 
-  /// Distinct line-aligned addresses touched by lanes [0, warp_size) of
-  /// `pattern` at (warp, iter). Order of first touch is preserved.
-  std::vector<Addr> Transactions(const AccessPattern& pattern,
-                                 std::uint64_t warp, std::uint64_t iter) const;
+  /// Replaces `*lines` with the distinct line-aligned addresses touched
+  /// by lanes [0, warp_size) of `pattern` at (warp, iter), in order of
+  /// first touch. Evaluates the pattern once per lane group: lanes of a
+  /// group differ only by their word offset.
+  void Transactions(const AccessPattern& pattern, std::uint64_t warp,
+                    std::uint64_t iter, std::vector<Addr>* lines) const;
 
   /// Same, from raw lane addresses (unit tests / custom generators).
   std::vector<Addr> TransactionsFromLanes(

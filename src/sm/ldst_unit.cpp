@@ -4,17 +4,24 @@
 
 namespace dlpsim {
 
-void LdStUnit::Enqueue(WarpMemOp op) {
+WarpMemOp& LdStUnit::NextSlot() {
   assert(CanAccept());
-  assert(!op.lines.empty());
+  WarpMemOp& op = slots_[Wrap(head_ + size_)];
+  op.next = 0;
+  return op;
+}
+
+void LdStUnit::Commit() {
+  assert(CanAccept());
+  assert(!slots_[Wrap(head_ + size_)].lines.empty());
   ++mem_ops;
-  queue_.push_back(std::move(op));
+  ++size_;
 }
 
 void LdStUnit::Tick(Cycle now, std::vector<Warp>& warps) {
   for (std::uint32_t slot = 0; slot < cfg_.ldst_width; ++slot) {
-    if (queue_.empty()) return;
-    WarpMemOp& op = queue_.front();
+    if (size_ == 0) return;
+    WarpMemOp& op = slots_[head_];
     Warp& warp = warps[op.warp_index];
 
     const MemAccess access{op.lines[op.next], op.type, op.pc,
@@ -39,7 +46,8 @@ void LdStUnit::Tick(Cycle now, std::vector<Warp>& warps) {
 
     if (++op.next == op.lines.size()) {
       if (op.type == AccessType::kLoad) warp.OnMemOpDispatched();
-      queue_.pop_front();
+      head_ = Wrap(head_ + 1);
+      --size_;
     }
   }
 }

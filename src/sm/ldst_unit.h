@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "core/l1d_cache.h"
@@ -28,19 +27,27 @@ struct WarpMemOp {
 
 class LdStUnit {
  public:
-  LdStUnit(const CoreConfig& cfg, L1DCache* l1d) : cfg_(cfg), l1d_(l1d) {}
+  /// Allocates all ldst_queue_entries op slots up front; a slot's `lines`
+  /// keeps its capacity across the ops it carries.
+  LdStUnit(const CoreConfig& cfg, L1DCache* l1d)
+      : cfg_(cfg), l1d_(l1d), slots_(cfg.ldst_queue_entries) {}
 
-  bool CanAccept() const { return queue_.size() < cfg_.ldst_queue_entries; }
+  bool CanAccept() const { return size_ < slots_.size(); }
 
-  /// Queues a memory op. For loads the warp must already be blocked via
-  /// Warp::BlockOnMem().
-  void Enqueue(WarpMemOp op);
+  /// The free slot behind the queue tail, with its dispatch cursor reset.
+  /// The caller overwrites every other field, then calls Commit().
+  /// Pre: CanAccept().
+  WarpMemOp& NextSlot();
+
+  /// Queues the op built in NextSlot(). For loads the warp must already
+  /// be blocked via Warp::BlockOnMem().
+  void Commit();
 
   /// Dispatches up to ldst_width transactions from the head op.
   void Tick(Cycle now, std::vector<Warp>& warps);
 
-  bool Idle() const { return queue_.empty(); }
-  std::size_t queue_depth() const { return queue_.size(); }
+  bool Idle() const { return size_ == 0; }
+  std::size_t queue_depth() const { return size_; }
 
   // --- statistics ---
   std::uint64_t stall_cycles = 0;       // cycles blocked on reservation fail
@@ -48,9 +55,15 @@ class LdStUnit {
   std::uint64_t mem_ops = 0;            // warp-level memory instructions
 
  private:
+  std::size_t Wrap(std::size_t i) const {
+    return i >= slots_.size() ? i - slots_.size() : i;
+  }
+
   CoreConfig cfg_;
   L1DCache* l1d_;
-  std::deque<WarpMemOp> queue_;
+  std::vector<WarpMemOp> slots_;  // ring: size_ ops from head_ on
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;
 };
 
 }  // namespace dlpsim

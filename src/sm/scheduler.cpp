@@ -10,8 +10,12 @@ std::uint32_t WarpScheduler::Pick(const std::vector<Warp>& warps, Cycle now) {
     if (last_ != kInvalidIndex && last_ < n && warps[last_].Issueable(now)) {
       return last_;
     }
-    // Then-oldest: lowest warp id owned by this scheduler.
-    for (std::uint32_t w = index_; w < n; w += stride_) {
+    // Then-oldest: lowest warp id owned by this scheduler, skipping the
+    // prefix that has already retired.
+    while (first_live_ < n && warps[first_live_].Finished()) {
+      first_live_ += stride_;
+    }
+    for (std::uint32_t w = first_live_; w < n; w += stride_) {
       if (warps[w].Issueable(now)) return w;
     }
     return kInvalidIndex;

@@ -23,7 +23,7 @@ class WarpScheduler {
   /// Picks the warp to issue from this cycle, or kInvalidIndex. GTO: keep
   /// the last-issued warp while it stays issueable, else the oldest
   /// (lowest id) issueable warp. LRR: rotate from the warp after the last
-  /// issued one.
+  /// issued one. Every call must pass the same `warps`.
   std::uint32_t Pick(const std::vector<Warp>& warps, Cycle now);
 
   /// Informs the scheduler what was issued (updates greedy/rotation state).
@@ -40,6 +40,9 @@ class WarpScheduler {
   std::uint32_t index_;
   std::uint32_t stride_;
   std::uint32_t last_ = kInvalidIndex;
+  // GTO: lowest owned warp not known to have finished. Only grows, since
+  // Warp::Finished() is sticky; the then-oldest scan starts here.
+  std::uint32_t first_live_ = index_;
 };
 
 }  // namespace dlpsim

@@ -16,6 +16,7 @@ SmCore::SmCore(const SimConfig& cfg, SmId id, const Program* program,
   warps_.reserve(warps);
   for (std::uint32_t w = 0; w < warps; ++w) {
     warps_.emplace_back(w, std::uint64_t{id} * warps + w, program);
+    if (!warps_.back().Finished()) ++unfinished_warps_;
   }
   for (std::uint32_t s = 0; s < cfg.core.num_schedulers; ++s) {
     schedulers_.emplace_back(sched, s, cfg.core.num_schedulers);
@@ -53,16 +54,16 @@ void SmCore::IssueFrom(WarpScheduler& sched, Cycle now) {
       ++mem_blocked_issues;
       return;  // structural hazard; try again next cycle
     }
-    WarpMemOp op;
+    WarpMemOp& op = ldst_.NextSlot();
     op.warp_index = w;
     op.pc = insn.pc;
     op.type = insn.op == OpClass::kLoad ? AccessType::kLoad
                                         : AccessType::kStore;
-    op.lines = coalescer_.Transactions(*insn.pattern, warp.global_id(),
-                                       warp.iteration());
+    coalescer_.Transactions(*insn.pattern, warp.global_id(),
+                            warp.iteration(), &op.lines);
     warp.AdvanceIssue(now);
     if (op.type == AccessType::kLoad) warp.BlockOnMem(now);
-    ldst_.Enqueue(std::move(op));
+    ldst_.Commit();
     committed_mem_insns += cfg_.core.warp_size;
   } else if (insn.op == OpClass::kSfu) {
     warp.AdvanceIssue(now);
@@ -70,6 +71,8 @@ void SmCore::IssueFrom(WarpScheduler& sched, Cycle now) {
   } else {
     warp.AdvanceIssue(now);  // ALU: fully pipelined
   }
+  // Only an issue retires a warp, and it was live until this one.
+  if (warp.Finished()) --unfinished_warps_;
 
   sched.OnIssued(w);
   ++issued_warp_insns;
@@ -131,13 +134,6 @@ void SmCore::TickCore(Cycle now, Crossbar& icnt) {
 
   DrainOutgoing(icnt);
   InjectBackgroundTraffic(icnt);
-}
-
-bool SmCore::Finished() const {
-  for (const Warp& w : warps_) {
-    if (!w.Finished()) return false;
-  }
-  return true;
 }
 
 bool SmCore::Drained() const {

@@ -28,7 +28,7 @@ class SmCore {
   /// from both schedulers, and push outgoing traffic into the crossbar.
   void TickCore(Cycle now, Crossbar& icnt);
 
-  bool Finished() const;  // all warps retired their program
+  bool Finished() const { return unfinished_warps_ == 0; }  // all retired
   bool Drained() const;   // Finished + all queues empty
 
   /// TickCore is a permanent no-op for this core: drained AND no
@@ -66,6 +66,7 @@ class SmCore {
   std::unique_ptr<L1DCache> l1d_;
   LdStUnit ldst_;
   Coalescer coalescer_;
+  std::uint32_t unfinished_warps_ = 0;      // warps not yet retired
   std::uint64_t other_traffic_credit_ = 0;  // committed insns since last pkt
   std::uint64_t other_traffic_rr_ = 0;      // destination rotation
 };

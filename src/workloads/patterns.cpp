@@ -1,8 +1,17 @@
 #include "workloads/patterns.h"
 
 #include <sstream>
+#include <stdexcept>
 
 namespace dlpsim {
+
+AccessPattern::AccessPattern(Addr base, std::uint32_t lanes_per_line,
+                             std::uint32_t warp_size)
+    : base_(base), lanes_per_line_(lanes_per_line), warp_size_(warp_size) {
+  if (lanes_per_line == 0) {
+    throw std::invalid_argument("AccessPattern: lanes_per_line must be >= 1");
+  }
+}
 
 // ---------------------------------------------------------------------------
 // StreamingPattern

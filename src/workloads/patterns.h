@@ -38,17 +38,23 @@ inline constexpr std::uint32_t kWordBytes = 4;
 
 class AccessPattern {
  public:
-  AccessPattern(Addr base, std::uint32_t lanes_per_line, std::uint32_t warp_size)
-      : base_(base), lanes_per_line_(lanes_per_line), warp_size_(warp_size) {}
+  /// Throws std::invalid_argument when `lanes_per_line` is 0.
+  AccessPattern(Addr base, std::uint32_t lanes_per_line,
+                std::uint32_t warp_size);
   virtual ~AccessPattern() = default;
 
   /// Byte address accessed by `lane` of global warp `warp` at `iter`.
   Addr AddressFor(std::uint64_t warp, std::uint64_t iter,
                   std::uint32_t lane) const {
-    const std::uint32_t group = lane / lanes_per_line_;
-    const Addr line = LineIndex(warp, iter, group);
-    return base_ + line * kLineBytes +
+    return GroupLine(warp, iter, lane / lanes_per_line_) +
            (lane % lanes_per_line_) * std::uint64_t{kWordBytes};
+  }
+
+  /// Byte address of the first lane of lane group `group`; the group's
+  /// k-th lane accesses GroupLine(...) + k * kWordBytes.
+  Addr GroupLine(std::uint64_t warp, std::uint64_t iter,
+                 std::uint32_t group) const {
+    return base_ + LineIndex(warp, iter, group) * kLineBytes;
   }
 
   /// Distinct lines touched by one warp instruction.

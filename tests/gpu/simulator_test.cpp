@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "analysis/per_sm_profiler.h"
 #include "workloads/registry.h"
 
@@ -32,6 +35,26 @@ TEST(GpuSimulator, RunsToCompletion) {
   // 2 cores x 4 warps x 8 iters x 23 slots x 32 threads.
   EXPECT_EQ(m.committed_thread_insns, 2ull * 4 * 8 * 23 * 32);
   EXPECT_EQ(m.committed_mem_insns, 2ull * 4 * 8 * 3 * 32);
+}
+
+TEST(GpuSimulator, RejectsWarpsPerSmOutsideOneToMaxWarps) {
+  auto prog = SmallKernel();
+  const SimConfig cfg = TinyGpu();
+  for (const std::uint32_t warps : {0u, cfg.core.max_warps + 1}) {
+    try {
+      GpuSimulator gpu(cfg, prog.get(), warps);
+      ADD_FAILURE() << "warps_per_sm=" << warps << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("warps_per_sm"), std::string::npos);
+      EXPECT_NE(std::string(e.what()).find("core.max_warps"),
+                std::string::npos);
+    }
+  }
+  GpuSimulator gpu(cfg, prog.get(), cfg.core.max_warps);
+  const Metrics m = gpu.Run();
+  EXPECT_EQ(m.completed, 1u);
+  EXPECT_EQ(m.committed_thread_insns,
+            2ull * cfg.core.max_warps * 8 * 23 * 32);
 }
 
 TEST(GpuSimulator, DeterministicAcrossRuns) {

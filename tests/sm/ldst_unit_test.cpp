@@ -24,13 +24,14 @@ class LdStUnitTest : public ::testing::Test {
     for (std::uint32_t i = 0; i < 4; ++i) warps_.emplace_back(i, i, prog_.get());
   }
 
-  WarpMemOp LoadOp(std::uint32_t warp, std::vector<Addr> lines) {
-    WarpMemOp op;
+  void Enqueue(std::uint32_t warp, std::vector<Addr> lines,
+               AccessType type = AccessType::kLoad) {
+    WarpMemOp& op = unit_->NextSlot();
     op.warp_index = warp;
     op.pc = 0;
-    op.type = AccessType::kLoad;
+    op.type = type;
     op.lines = std::move(lines);
-    return op;
+    unit_->Commit();
   }
 
   void FillAll() {
@@ -54,7 +55,7 @@ class LdStUnitTest : public ::testing::Test {
 
 TEST_F(LdStUnitTest, DispatchesOneTransactionPerCycle) {
   warps_[0].BlockOnMem(0);
-  unit_->Enqueue(LoadOp(0, {0, 128}));
+  Enqueue(0, {0, 128});
   unit_->Tick(0, warps_);
   EXPECT_EQ(unit_->transactions, 1u);
   EXPECT_FALSE(unit_->Idle());  // second line still pending
@@ -66,7 +67,7 @@ TEST_F(LdStUnitTest, DispatchesOneTransactionPerCycle) {
 
 TEST_F(LdStUnitTest, WarpWakesAfterAllTransactionsReturn) {
   warps_[0].BlockOnMem(0);
-  unit_->Enqueue(LoadOp(0, {0, 128}));
+  Enqueue(0, {0, 128});
   unit_->Tick(0, warps_);
   unit_->Tick(1, warps_);
   EXPECT_FALSE(warps_[0].Issueable(2));
@@ -77,7 +78,7 @@ TEST_F(LdStUnitTest, WarpWakesAfterAllTransactionsReturn) {
 TEST_F(LdStUnitTest, HeadOfLineBlockingOnReservationFail) {
   // Fill set 0 with reserved lines: blocks 0 and 2 (2 sets, linear).
   warps_[0].BlockOnMem(0);
-  unit_->Enqueue(LoadOp(0, {0 * 128, 2 * 128, 4 * 128}));
+  Enqueue(0, {0 * 128, 2 * 128, 4 * 128});
   unit_->Tick(0, warps_);
   unit_->Tick(1, warps_);
   // Third transaction targets the fully reserved set 0 -> stall.
@@ -85,7 +86,7 @@ TEST_F(LdStUnitTest, HeadOfLineBlockingOnReservationFail) {
   EXPECT_EQ(unit_->stall_cycles, 1u);
   // An op from another warp behind the head cannot proceed either.
   warps_[1].BlockOnMem(3);
-  unit_->Enqueue(LoadOp(1, {1 * 128}));
+  Enqueue(1, {1 * 128});
   unit_->Tick(3, warps_);
   EXPECT_EQ(unit_->stall_cycles, 2u);
   EXPECT_EQ(unit_->queue_depth(), 2u);
@@ -98,11 +99,7 @@ TEST_F(LdStUnitTest, HeadOfLineBlockingOnReservationFail) {
 }
 
 TEST_F(LdStUnitTest, StoresAreFireAndForget) {
-  WarpMemOp op;
-  op.warp_index = 0;
-  op.type = AccessType::kStore;
-  op.lines = {0};
-  unit_->Enqueue(std::move(op));
+  Enqueue(0, {0}, AccessType::kStore);
   unit_->Tick(0, warps_);
   EXPECT_TRUE(unit_->Idle());
   EXPECT_TRUE(warps_[0].Issueable(1));  // never blocked
@@ -111,22 +108,49 @@ TEST_F(LdStUnitTest, StoresAreFireAndForget) {
 
 TEST_F(LdStUnitTest, AllHitLoadWakesWithoutOutstanding) {
   warps_[0].BlockOnMem(0);
-  unit_->Enqueue(LoadOp(0, {0}));
+  Enqueue(0, {0});
   unit_->Tick(0, warps_);
   FillAll();
   EXPECT_TRUE(warps_[0].Issueable(1));
   // Second access to the same line hits; the warp wakes on dispatch.
   warps_[1].BlockOnMem(1);
-  unit_->Enqueue(LoadOp(1, {0}));
+  Enqueue(1, {0});
   unit_->Tick(1, warps_);
   EXPECT_EQ(warps_[1].outstanding(), 0u);
   EXPECT_TRUE(warps_[1].Issueable(2));
 }
 
+TEST_F(LdStUnitTest, SlotRingKeepsFifoOrderAcrossTheWrap) {
+  // Fill every slot, retire three ops, then refill past the end of the
+  // ring: ops must still reach the L1D in commit order.
+  const std::uint32_t n = cfg_.core.ldst_queue_entries;
+  Addr block = 0;
+  std::vector<Addr> sent;
+  Cycle now = 0;
+  const auto tick = [&] {
+    unit_->Tick(now++, warps_);
+    while (cache_->HasOutgoing()) sent.push_back(cache_->PopOutgoing().block);
+  };
+  for (std::uint32_t i = 0; i < n; ++i) {
+    Enqueue(0, {block++ * 128}, AccessType::kStore);
+  }
+  for (int i = 0; i < 3; ++i) tick();
+  for (int i = 0; i < 3; ++i) {
+    Enqueue(0, {block * 128, (block + 1) * 128}, AccessType::kStore);
+    block += 2;
+  }
+  EXPECT_FALSE(unit_->CanAccept());
+  while (!unit_->Idle()) tick();
+  std::vector<Addr> expected(block);
+  for (Addr b = 0; b < block; ++b) expected[b] = b;
+  EXPECT_EQ(sent, expected);
+  EXPECT_EQ(unit_->mem_ops, n + 3u);
+}
+
 TEST_F(LdStUnitTest, CapacityBound) {
   for (std::uint32_t i = 0; i < cfg_.core.ldst_queue_entries; ++i) {
     ASSERT_TRUE(unit_->CanAccept());
-    unit_->Enqueue(LoadOp(0, {static_cast<Addr>(i) * 128}));
+    Enqueue(0, {static_cast<Addr>(i) * 128});
   }
   EXPECT_FALSE(unit_->CanAccept());
 }

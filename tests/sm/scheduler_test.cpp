@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "sim/rng.h"
 #include "workloads/registry.h"
 
 namespace dlpsim {
@@ -98,6 +101,86 @@ TEST_F(SchedulerTest, GtoGreedyEndsWhenWarpFinishes) {
   sched.OnIssued(0);
   ASSERT_TRUE(warps[0].Finished());
   EXPECT_EQ(sched.Pick(warps, 1), 1u);
+}
+
+// GTO's start index against a naive "greedy, else lowest owned issueable"
+// scan. Warps run programs of different lengths and block, sleep and wake
+// at random, so they retire out of order and the retired prefix grows in
+// jumps.
+TEST(GtoScheduler, MatchesNaiveScanWhileWarpsRetireOutOfOrder) {
+  std::vector<std::unique_ptr<Program>> programs;
+  for (const std::uint32_t iters : {1u, 2u, 5u, 9u}) {
+    ProgramBuilder b(iters);
+    b.Alu(2).Alu(1);
+    programs.push_back(b.Build());
+  }
+  for (const std::uint32_t num_warps : {1u, 5u, 48u, 64u}) {
+    for (std::uint32_t num_scheds = 1; num_scheds <= 3; ++num_scheds) {
+      for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        SCOPED_TRACE(::testing::Message()
+                     << num_warps << " warps, " << num_scheds
+                     << " schedulers, seed " << seed);
+        Rng rng(seed * 1000 + num_warps * 10 + num_scheds);
+        std::vector<Warp> warps;
+        for (std::uint32_t w = 0; w < num_warps; ++w) {
+          warps.emplace_back(w, w, programs[rng.Below(programs.size())].get());
+        }
+        std::vector<WarpScheduler> scheds;
+        std::vector<std::uint32_t> last(num_scheds, kInvalidIndex);
+        for (std::uint32_t s = 0; s < num_scheds; ++s) {
+          scheds.emplace_back(SchedulerKind::kGto, s, num_scheds);
+        }
+        const auto naive_pick = [&](std::uint32_t s, Cycle now) {
+          if (last[s] != kInvalidIndex && warps[last[s]].Issueable(now)) {
+            return last[s];
+          }
+          for (std::uint32_t w = 0; w < num_warps; ++w) {
+            if (w % num_scheds == s && warps[w].Issueable(now)) return w;
+          }
+          return kInvalidIndex;
+        };
+
+        std::vector<std::uint32_t> retire_order;
+        Cycle now = 0;
+        for (; retire_order.size() < num_warps && now < 100000; ++now) {
+          for (std::uint32_t s = 0; s < num_scheds; ++s) {
+            const std::uint32_t w = scheds[s].Pick(warps, now);
+            ASSERT_EQ(w, naive_pick(s, now)) << "cycle " << now;
+            if (w == kInvalidIndex || rng.Below(8) == 0) continue;
+            Warp& warp = warps[w];
+            warp.AdvanceIssue(now);
+            scheds[s].OnIssued(w);
+            last[s] = w;
+            if (warp.Finished()) retire_order.push_back(w);
+            switch (rng.Below(6)) {
+              case 0:  // a load with 1-3 transactions in flight
+                warp.BlockOnMem(now);
+                warp.AddOutstanding(1 + static_cast<std::uint32_t>(
+                                            rng.Below(3)));
+                warp.OnMemOpDispatched();
+                break;
+              case 1:
+                warp.BusyFor(now, 1 + rng.Below(20));
+                break;
+              default:
+                break;
+            }
+          }
+          for (Warp& warp : warps) {
+            if (warp.outstanding() > 0 && rng.Below(4) == 0) {
+              warp.OnTransactionDone();
+            }
+          }
+        }
+        ASSERT_EQ(retire_order.size(), num_warps) << "run did not finish";
+        if (num_warps >= 5) {
+          EXPECT_FALSE(std::is_sorted(retire_order.begin(),
+                                      retire_order.end()))
+              << "warps retired in id order; the test lost its power";
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

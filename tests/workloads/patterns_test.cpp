@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
+
+#include "workloads/registry.h"
 
 namespace dlpsim {
 namespace {
@@ -124,6 +127,17 @@ TEST(AccessPattern, LanesGroupWithinLines) {
 TEST(AccessPattern, BaseOffsetsApply) {
   PrivateCyclicPattern p(1ull << 32, 32, 32, 2);
   EXPECT_GE(p.AddressFor(0, 0, 0), 1ull << 32);
+}
+
+TEST(AccessPattern, ZeroLanesPerLineThrows) {
+  EXPECT_THROW(StreamingPattern(0, 0, 32, 10), std::invalid_argument);
+  EXPECT_THROW(PrivateCyclicPattern(0, 0, 32, 4), std::invalid_argument);
+  EXPECT_THROW(SharedTilePattern(0, 0, 32, 4, 2), std::invalid_argument);
+  EXPECT_THROW(IndirectPattern(0, 0, 32, 1024, 0.0, 7),
+               std::invalid_argument);
+  ProgramBuilder b(4);
+  EXPECT_THROW(b.LoadIndirect(1024, 0.0, 7, /*lanes_per_line=*/0),
+               std::invalid_argument);
 }
 
 TEST(AccessPattern, DescribeIsNonEmpty) {
