@@ -1,18 +1,17 @@
 #include "harness.h"
 
-#include <unistd.h>
-
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
+#include <tuple>
 
 #include "analysis/per_sm_profiler.h"
 #include "exec/run_grid.h"
@@ -25,22 +24,13 @@
 #include "obs/trace_sink.h"
 #include "robust/fault.h"
 #include "robust/watchdog.h"
+#include "serve/content_cache.h"
 #include "sim/env.h"
 #include "workloads/registry.h"
 
 namespace dlpsim::bench {
 
 namespace {
-// Bump when the simulator or the workload calibration changes; stale cache
-// entries are keyed away automatically. v2: entries carry a completion
-// footer so truncated files are never served.
-constexpr const char* kCacheVersion = "v2";
-
-// Written as the last line of every cache entry; a file without it was
-// interrupted mid-write (pre-rename crashes can no longer produce that,
-// but entries from other writers stay verifiable).
-constexpr const char* kCacheFooter = "#complete";
-
 std::string CacheDir() { return env::Str("DLPSIM_CACHE_DIR", ".dlpsim_cache"); }
 
 bool TraceEnabled() { return env::Flag("DLPSIM_TRACE"); }
@@ -178,14 +168,30 @@ ProfileResult ProfileResult::FromText(const std::string& text, bool* ok) {
   return r;
 }
 
-namespace {
-
-std::string KeyFor(const std::string& abbr, const std::string& config,
-                   double scale) {
-  std::ostringstream os;
-  os << kCacheVersion << '_' << abbr << '_' << config << "_s" << scale;
-  return os.str();
+std::string CellKey(const std::string& abbr, const std::string& config,
+                    double scale) {
+  return serve::ContentKey(CanonicalText(ConfigFor(config)),
+                           serve::WorkloadTraceRef(abbr, scale));
 }
+
+std::string ToPayload(const RunResult& r) {
+  return r.metrics.ToText() + "---\n" + r.profile.ToText();
+}
+
+bool FromPayload(const std::string& payload, RunResult* out) {
+  const auto sep = payload.find("---\n");
+  if (sep == std::string::npos) return false;
+  bool ok_m = false;
+  bool ok_p = false;
+  RunResult r;
+  r.metrics = Metrics::FromText(payload.substr(0, sep), &ok_m);
+  r.profile = ProfileResult::FromText(payload.substr(sep + 4), &ok_p);
+  if (!ok_m || !ok_p) return false;
+  *out = std::move(r);
+  return true;
+}
+
+namespace {
 
 /// Writes the JSON report, Chrome trace and timeline CSV for one traced
 /// run into DLPSIM_TRACE_OUT. Failures are reported on stderr and never
@@ -392,62 +398,6 @@ RunResult SimulateUncached(const std::string& abbr, const std::string& config,
   return result;
 }
 
-std::filesystem::path CachePathFor(const std::string& abbr,
-                                   const std::string& config, double scale) {
-  return std::filesystem::path(CacheDir()) /
-         (KeyFor(abbr, config, scale) + ".txt");
-}
-
-bool LoadCacheFile(const std::filesystem::path& path, RunResult* out) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const std::string text = buf.str();
-
-  // A complete entry ends with the footer line the writer appends last.
-  const std::string footer = std::string(kCacheFooter) + "\n";
-  if (text.size() < footer.size() ||
-      text.compare(text.size() - footer.size(), footer.size(), footer) != 0) {
-    return false;
-  }
-  const auto sep = text.find("---\n");
-  if (sep == std::string::npos) return false;
-
-  bool ok_m = false;
-  bool ok_p = false;
-  RunResult r;
-  r.metrics = Metrics::FromText(text.substr(0, sep), &ok_m);
-  r.profile = ProfileResult::FromText(text.substr(sep + 4), &ok_p);
-  if (!ok_m || !ok_p) return false;
-  if (out != nullptr) *out = r;
-  return true;
-}
-
-void StoreCacheFile(const std::filesystem::path& path, const RunResult& r) {
-  namespace fs = std::filesystem;
-  std::error_code ec;
-  fs::create_directories(path.parent_path(), ec);
-
-  // Unique temp name per process and thread so concurrent writers of the
-  // same cell never collide; rename() is atomic within the directory.
-  std::ostringstream tmp_name;
-  tmp_name << path.filename().string() << ".tmp." << ::getpid() << '.'
-           << std::this_thread::get_id();
-  const fs::path tmp = path.parent_path() / tmp_name.str();
-  {
-    std::ofstream out(tmp);
-    out << r.metrics.ToText() << "---\n"
-        << r.profile.ToText() << kCacheFooter << '\n';
-    if (!out) {
-      fs::remove(tmp, ec);
-      return;
-    }
-  }
-  fs::rename(tmp, path, ec);
-  if (ec) fs::remove(tmp, ec);
-}
-
 exec::TimingLog& Timing() {
   static exec::TimingLog log;
   return log;
@@ -505,18 +455,18 @@ namespace {
 /// stores it back. Exactly one thread per cell runs this (see Run).
 RunResult LoadOrSimulate(const std::string& abbr, const std::string& config,
                          double scale) {
-  const std::filesystem::path path = CachePathFor(abbr, config, scale);
+  const serve::ContentCache cache(CacheEnabled() ? CacheDir() : "");
+  const std::string key = cache.enabled() ? CellKey(abbr, config, scale) : "";
 
-  if (CacheEnabled()) {
-    RunResult cached;
-    if (LoadCacheFile(path, &cached)) {
-      exec::TimingCell cell;
-      cell.app = abbr;
-      cell.config = config;
-      cell.cached = true;
-      Timing().Record(std::move(cell));
-      return cached;
-    }
+  RunResult cached;
+  if (const auto payload = cache.Load(key);
+      payload && FromPayload(*payload, &cached)) {
+    exec::TimingCell cell;
+    cell.app = abbr;
+    cell.config = config;
+    cell.cached = true;
+    Timing().Record(std::move(cell));
+    return cached;
   }
 
   const exec::Stopwatch cell_clock;
@@ -527,7 +477,7 @@ RunResult LoadOrSimulate(const std::string& abbr, const std::string& config,
   cell.seconds = cell_clock.Seconds();
   Timing().Record(std::move(cell));
 
-  if (CacheEnabled()) StoreCacheFile(path, r);
+  cache.Store(key, ToPayload(r));
   return r;
 }
 
@@ -536,7 +486,9 @@ RunResult LoadOrSimulate(const std::string& abbr, const std::string& config,
 /// e.g. RunGrid's retry pass -- can attempt it again; only successes are
 /// memoized. Callers that were waiting on the failing flight see that
 /// flight's exception. std::map gives reference stability, so the flight
-/// runs outside the registry lock.
+/// runs outside the registry lock. Cells are keyed by (app, config name,
+/// scale): names are unambiguous inside one binary, and the scale
+/// compares exactly.
 struct CellState {
   std::mutex mu;
   std::condition_variable cv;
@@ -547,9 +499,11 @@ struct CellState {
   std::uint64_t error_seq = 0;  // bumped on every failed flight
 };
 
+using CellId = std::tuple<std::string, std::string, double>;
+
 struct Memo {
   std::mutex mu;
-  std::map<std::string, CellState> cells;
+  std::map<CellId, CellState> cells;
 };
 
 Memo& GlobalMemo() {
@@ -565,7 +519,7 @@ RunResult Run(const std::string& abbr, const std::string& config,
   CellState* cell = nullptr;
   {
     std::lock_guard<std::mutex> lock(memo.mu);
-    cell = &memo.cells[KeyFor(abbr, config, scale)];
+    cell = &memo.cells[CellId{abbr, config, scale}];
   }
 
   std::unique_lock<std::mutex> lock(cell->mu);
@@ -649,7 +603,7 @@ std::vector<RunResult> RunGrid(const std::vector<std::string>& apps,
     CellState* state = nullptr;
     {
       std::lock_guard<std::mutex> reg(memo.mu);
-      state = &memo.cells[KeyFor(f.job.app, f.job.config, scale)];
+      state = &memo.cells[CellId{f.job.app, f.job.config, scale}];
     }
     std::lock_guard<std::mutex> cl(state->mu);
     if (!state->done && !state->running) {

@@ -2,11 +2,13 @@
 //
 // Every bench needs the same (app x configuration) simulation grid, so
 // runs are memoized twice: in-process (thread-safe, single-flight -- two
-// threads asking for the same cell never simulate it twice) and in an
-// on-disk cache keyed by app, configuration name, scale and a harness
-// version stamp. Cache files are written to a temp name and atomically
-// renamed into place, so a killed or concurrent bench can never leave a
-// partially written entry that parses as a bogus result.
+// threads asking for the same cell never simulate it twice) and on disk
+// in serve::ContentCache, under the content key and payload that
+// dlpsim_server uses for the same request (CellKey, ToPayload). A preset
+// edit keys old entries away, and a server pointed at DLPSIM_CACHE_DIR
+// serves the bench's cells. The store publishes each entry atomically,
+// so a killed or concurrent bench can never leave a partially written
+// entry that parses as a bogus result.
 //
 // RunGrid() executes a whole (apps x configs) matrix through the
 // src/exec/ parallel executor: each cell is an isolated, deterministic
@@ -23,7 +25,8 @@
 //   DLPSIM_SCALE      - iteration scale factor (default 1.0)
 //   DLPSIM_JOBS       - worker threads for RunGrid (default: hardware
 //                       concurrency; 1 = serial)
-//   DLPSIM_CACHE_DIR  - cache directory (default ./.dlpsim_cache)
+//   DLPSIM_CACHE_DIR  - result-cache directory (default ./.dlpsim_cache);
+//                       the same entries as dlpsim_server --cache-dir
 //   DLPSIM_NOCACHE    - set to disable the on-disk cache entirely
 //   DLPSIM_TIMING_DIR - where TimingScope writes <bench>_timing.json
 //                       (default ".")
@@ -86,7 +89,6 @@
 #pragma once
 
 #include <cstdint>
-#include <filesystem>
 #include <map>
 #include <string>
 #include <vector>
@@ -177,20 +179,20 @@ struct RunOverrides {
 RunResult SimulateUncached(const std::string& abbr, const std::string& config,
                            double scale, const RunOverrides& overrides);
 
-// --- on-disk cache plumbing (exposed for tests and tools) ---
+// --- result-cache entries (shared with tools/dlpsim_server) ---
 
-/// Cache file path for one cell (under DLPSIM_CACHE_DIR).
-std::filesystem::path CachePathFor(const std::string& abbr,
-                                   const std::string& config, double scale);
+/// serve::ContentCache key of one generated-workload cell:
+/// serve::ContentKey(CanonicalText(ConfigFor(config)),
+/// serve::WorkloadTraceRef(abbr, scale)) -- the key dlpsim_server uses
+/// for the same request. Throws std::out_of_range on an unknown config.
+std::string CellKey(const std::string& abbr, const std::string& config,
+                    double scale);
 
-/// Loads a cache file; false on missing, truncated or unparsable entries
-/// (a valid entry carries the "#complete" footer the writer appends last).
-bool LoadCacheFile(const std::filesystem::path& path, RunResult* out);
+/// Cache entry payload: Metrics::ToText() + "---\n" + ProfileResult::ToText().
+std::string ToPayload(const RunResult& r);
 
-/// Writes atomically: temp file in the same directory + rename() into
-/// place, so readers never observe a partial entry. Best-effort (cache
-/// write failures never fail a bench).
-void StoreCacheFile(const std::filesystem::path& path, const RunResult& r);
+/// Parses a ToPayload text; false when either block fails to parse.
+bool FromPayload(const std::string& payload, RunResult* out);
 
 // --- wall-clock telemetry ---
 

@@ -2,9 +2,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
-
-#include "sim/stats.h"
 
 namespace dlpsim {
 
@@ -32,23 +29,6 @@ struct CacheStats {
   double load_hit_rate() const {
     const std::uint64_t total = load_hits + load_misses;
     return total == 0 ? 0.0 : static_cast<double>(load_hits) / total;
-  }
-
-  void RegisterAll(StatRegistry& reg, const std::string& prefix) const {
-    reg.Register(prefix + ".accesses", &accesses);
-    reg.Register(prefix + ".loads", &loads);
-    reg.Register(prefix + ".stores", &stores);
-    reg.Register(prefix + ".load_hits", &load_hits);
-    reg.Register(prefix + ".load_misses", &load_misses);
-    reg.Register(prefix + ".store_hits", &store_hits);
-    reg.Register(prefix + ".mshr_merges", &mshr_merges);
-    reg.Register(prefix + ".misses_issued", &misses_issued);
-    reg.Register(prefix + ".bypasses", &bypasses);
-    reg.Register(prefix + ".reservation_fails", &reservation_fails);
-    reg.Register(prefix + ".evictions", &evictions);
-    reg.Register(prefix + ".writebacks", &writebacks);
-    reg.Register(prefix + ".fills", &fills);
-    reg.Register(prefix + ".store_invalidates", &store_invalidates);
   }
 };
 

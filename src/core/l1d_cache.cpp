@@ -44,7 +44,11 @@ L1DCache::L1DCache(const L1DConfig& cfg)
       "MSHR entries in use after each miss allocation");
 }
 
-void L1DCache::CommitQuery(std::uint32_t set, Cycle now) {
+void L1DCache::CommitQuery(const MemAccess& access, std::uint32_t set,
+                           Addr block, bool hit, Cycle now) {
+  if (observer_ != nullptr) {
+    observer_->OnAccess(set, block, access.pc, access.type, hit);
+  }
   ++stats_.accesses;
   m_accesses_->Add();
   obs::ProfileSpan span(profiler_, obs::Phase::kPolicyUpdate);
@@ -149,10 +153,7 @@ AccessResult L1DCache::AccessLoad(const MemAccess& access, std::uint32_t set,
 
   // --- filled-line hit ---
   if (way != kInvalidIndex && IsFilled(tda_.At(set, way).state)) {
-    if (observer_ != nullptr) {
-      observer_->OnAccess(set, block, access.pc, AccessType::kLoad, true);
-    }
-    CommitQuery(set, now);
+    CommitQuery(access, set, block, true, now);
     policy_->OnLoadHit(tda_.At(set, way), access.pc);
     tda_.Touch(set, way);
     ++stats_.loads;
@@ -164,10 +165,7 @@ AccessResult L1DCache::AccessLoad(const MemAccess& access, std::uint32_t set,
   if (way != kInvalidIndex) {
     assert(tda_.At(set, way).state == LineState::kReserved);
     if (mshr_.CanMerge(block)) {
-      if (observer_ != nullptr) {
-        observer_->OnAccess(set, block, access.pc, AccessType::kLoad, false);
-      }
-      CommitQuery(set, now);
+      CommitQuery(access, set, block, false, now);
       policy_->OnMergedMiss(tda_.At(set, way), access.pc);
       mshr_.Merge(block, access.token);
       ++stats_.loads;
@@ -177,10 +175,7 @@ AccessResult L1DCache::AccessLoad(const MemAccess& access, std::uint32_t set,
     }
     // Unmergeable (entry at its merge limit): resource stall.
     if (policy_->BypassOnResourceStall() && !OutgoingFull()) {
-      if (observer_ != nullptr) {
-        observer_->OnAccess(set, block, access.pc, AccessType::kLoad, false);
-      }
-      CommitQuery(set, now);
+      CommitQuery(access, set, block, false, now);
       policy_->OnLoadMiss(set, block, access.pc);
       ++stats_.loads;
       ++stats_.load_misses;
@@ -212,10 +207,7 @@ AccessResult L1DCache::AccessLoad(const MemAccess& access, std::uint32_t set,
         mshr_.CanAllocate() &&
         outgoing_.size() + slots_needed <= cfg_.miss_queue_entries;
     if (has_resources) {
-      if (observer_ != nullptr) {
-        observer_->OnAccess(set, block, access.pc, AccessType::kLoad, false);
-      }
-      CommitQuery(set, now);
+      CommitQuery(access, set, block, false, now);
       policy_->OnLoadMiss(set, block, access.pc);
       EvictFor(set, choice.way, block, access.pc);
       policy_->OnReserve(tda_.At(set, choice.way), access.pc);
@@ -238,10 +230,7 @@ AccessResult L1DCache::AccessLoad(const MemAccess& access, std::uint32_t set,
   }
 
   if (choice.kind == VictimChoice::Kind::kBypass && !OutgoingFull()) {
-    if (observer_ != nullptr) {
-      observer_->OnAccess(set, block, access.pc, AccessType::kLoad, false);
-    }
-    CommitQuery(set, now);
+    CommitQuery(access, set, block, false, now);
     policy_->OnLoadMiss(set, block, access.pc);
     ++stats_.loads;
     ++stats_.load_misses;
@@ -268,10 +257,7 @@ AccessResult L1DCache::AccessStore(const MemAccess& access, std::uint32_t set,
   const bool hit = way != kInvalidIndex && IsFilled(tda_.At(set, way).state);
 
   if (hit && cfg_.write_policy == WritePolicy::kWriteBackOnHit) {
-    if (observer_ != nullptr) {
-      observer_->OnAccess(set, block, access.pc, AccessType::kStore, true);
-    }
-    CommitQuery(set, now);
+    CommitQuery(access, set, block, true, now);
     tda_.At(set, way).state = LineState::kModified;
     tda_.Touch(set, way);
     ++stats_.stores;
@@ -285,10 +271,7 @@ AccessResult L1DCache::AccessStore(const MemAccess& access, std::uint32_t set,
     ++stats_.reservation_fails;
     return AccessResult::kReservationFail;
   }
-  if (observer_ != nullptr) {
-    observer_->OnAccess(set, block, access.pc, AccessType::kStore, hit);
-  }
-  CommitQuery(set, now);
+  CommitQuery(access, set, block, hit, now);
   ++stats_.stores;
   if (hit) {
     // Write-evict (Fermi global stores): invalidate the cached copy.

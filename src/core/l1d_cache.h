@@ -155,9 +155,12 @@ class L1DCache {
   AccessResult AccessStore(const MemAccess& access, std::uint32_t set,
                            Addr block, Cycle now);
 
-  /// Commits the bookkeeping every completed access shares: set query
-  /// (PL decay), sampling tick, access counter.
-  void CommitQuery(std::uint32_t set, Cycle now);
+  /// Commits the bookkeeping every completed access shares, before the
+  /// policy acts on it: the observer call with the pre-policy outcome
+  /// (`hit` = block filled in the TDA), access counter, set query (PL
+  /// decay) and sampling tick.
+  void CommitQuery(const MemAccess& access, std::uint32_t set, Addr block,
+                   bool hit, Cycle now);
 
   bool OutgoingFull() const { return outgoing_.size() >= cfg_.miss_queue_entries; }
   void PushOutgoing(L1DOutgoing req);

@@ -139,13 +139,4 @@ bool Crossbar::Idle() const {
   return true;
 }
 
-void Crossbar::RegisterStats(StatRegistry& reg,
-                             const std::string& prefix) const {
-  reg.Register(prefix + ".bytes_core_to_mem", &bytes_core_to_mem);
-  reg.Register(prefix + ".bytes_mem_to_core", &bytes_mem_to_core);
-  reg.Register(prefix + ".bytes_l1d", &bytes_l1d);
-  reg.Register(prefix + ".bytes_other", &bytes_other);
-  reg.Register(prefix + ".packets_delivered", &packets_delivered);
-}
-
 }  // namespace dlpsim

@@ -15,7 +15,6 @@
 
 #include "cache/mshr.h"
 #include "sim/config.h"
-#include "sim/stats.h"
 #include "sim/types.h"
 
 namespace dlpsim {
@@ -88,8 +87,6 @@ class Crossbar {
   std::uint64_t total_bytes() const {
     return bytes_core_to_mem + bytes_mem_to_core;
   }
-
-  void RegisterStats(StatRegistry& reg, const std::string& prefix) const;
 
  private:
   struct InFlight {

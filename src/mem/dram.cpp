@@ -81,12 +81,4 @@ std::vector<DramChannel::Completion> DramChannel::Tick(Cycle now) {
   return done;
 }
 
-void DramChannel::RegisterStats(StatRegistry& reg,
-                                const std::string& prefix) const {
-  reg.Register(prefix + ".reads", &reads);
-  reg.Register(prefix + ".writes", &writes);
-  reg.Register(prefix + ".row_hits", &row_hits);
-  reg.Register(prefix + ".row_misses", &row_misses);
-}
-
 }  // namespace dlpsim

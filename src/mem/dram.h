@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "sim/config.h"
-#include "sim/stats.h"
 #include "sim/types.h"
 
 namespace dlpsim {
@@ -54,8 +53,6 @@ class DramChannel {
   std::uint64_t writes = 0;
   std::uint64_t row_hits = 0;
   std::uint64_t row_misses = 0;
-
-  void RegisterStats(StatRegistry& reg, const std::string& prefix) const;
 
  private:
   struct Bank {

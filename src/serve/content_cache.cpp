@@ -6,6 +6,8 @@
 #include <sstream>
 #include <thread>
 
+#include "serve/request.h"
+
 namespace dlpsim::serve {
 
 namespace {
@@ -14,28 +16,7 @@ namespace {
 constexpr const char* kFooter = "#complete";
 }  // namespace
 
-std::uint64_t Fnv1a64(std::string_view data) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const char c : data) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
 std::string_view BinaryVersion() { return kBinaryVersion; }
-
-namespace {
-std::string Hex16(std::uint64_t v) {
-  static const char* kDigits = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = kDigits[v & 0xf];
-    v >>= 4;
-  }
-  return out;
-}
-}  // namespace
 
 std::string ContentKey(std::string_view config_text, std::string_view trace_ref,
                        std::string_view binary_version) {
@@ -44,9 +25,7 @@ std::string ContentKey(std::string_view config_text, std::string_view trace_ref,
 }
 
 std::string WorkloadTraceRef(std::string_view app, double scale) {
-  std::ostringstream os;
-  os << "app " << app << " scale " << scale;
-  return os.str();
+  return "app " + std::string(app) + " scale " + ScaleText(scale);
 }
 
 ContentCache::ContentCache(std::filesystem::path dir) : dir_(std::move(dir)) {}

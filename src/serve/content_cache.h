@@ -1,7 +1,8 @@
-// Content-addressed result cache for the experiment server.
-//
-// Generalizes the bench harness's `.dlpsim_cache` (which keys on the
-// *names* of app/config) to true content addressing: an entry's key is
+// Content-addressed result cache: the one on-disk result store. The
+// figure benches (bench::Run) and the experiment server load and store
+// generated-workload cells here under the same key and payload
+// (bench::CellKey, bench::ToPayload), so a server pointed at a bench's
+// DLPSIM_CACHE_DIR serves that bench's cells. An entry's key is
 //
 //   key = fnv64(config canonical text) x fnv64(trace/workload ref)
 //         x fnv64(binary version)
@@ -12,12 +13,12 @@
 // input changed. The three components stay visible in the filename so a
 // human can tell *which* axis moved between two entries.
 //
-// Entries are written with the same crash-safe discipline as the bench
-// cache: unique temp name, payload, a "#complete" footer appended last,
-// atomic rename() into place. A truncated or concurrent entry is never
-// served. Entry bytes are a pure function of the simulation result, so
-// two servers (or one server at any worker count) produce byte-identical
-// entries for the same key -- pinned by tests/serve/.
+// Entries are written crash-safely: unique temp name, payload, a
+// "#complete" footer appended last, atomic rename() into place. A
+// truncated or concurrent entry is never served. Entry bytes are a pure
+// function of the simulation result, so two servers (or one server at
+// any worker count) produce byte-identical entries for the same key --
+// pinned by tests/serve/.
 #pragma once
 
 #include <cstdint>
@@ -26,10 +27,12 @@
 #include <string>
 #include <string_view>
 
+#include "sim/hash.h"
+
 namespace dlpsim::serve {
 
 /// FNV-1a 64-bit hash (stable across platforms and builds).
-std::uint64_t Fnv1a64(std::string_view data);
+using dlpsim::Fnv1a64;
 
 /// The version stamp baked into this binary's cache keys. Bump
 /// kBinaryVersion whenever simulation behaviour changes; the old
@@ -47,7 +50,8 @@ std::string_view BinaryVersion();
 std::string ContentKey(std::string_view config_text, std::string_view trace_ref,
                        std::string_view binary_version = BinaryVersion());
 
-/// Deterministic trace reference for a generated workload.
+/// Deterministic trace reference for a generated workload:
+/// "app <abbr> scale <s>", with `s` in ScaleText form.
 std::string WorkloadTraceRef(std::string_view app, double scale);
 
 class ContentCache {

@@ -1,5 +1,6 @@
 #include "serve/request.h"
 
+#include <charconv>
 #include <cstdlib>
 #include <sstream>
 
@@ -54,12 +55,17 @@ std::string SanitizeValue(std::string value) {
   return value;
 }
 
+std::string ScaleText(double scale) {
+  char buf[32];  // the longest shortest-form double is 24 characters
+  return std::string(buf, std::to_chars(buf, buf + sizeof(buf), scale).ptr);
+}
+
 std::string ExperimentRequest::Serialize() const {
   std::ostringstream os;
   os << "id " << id << '\n';
   os << "app " << SanitizeValue(app) << '\n';
   os << "config " << SanitizeValue(config) << '\n';
-  os << "scale " << scale << '\n';
+  os << "scale " << ScaleText(scale) << '\n';
   if (!trace.empty()) os << "trace " << SanitizeValue(trace) << '\n';
   if (deadline_ms > 0) os << "deadline_ms " << deadline_ms << '\n';
   if (watchdog_cycles > 0) os << "watchdog_cycles " << watchdog_cycles << '\n';

@@ -7,11 +7,12 @@
 // not contain newlines (serializers replace them with spaces; parsers
 // never see one).
 //
-// A response optionally carries a result payload -- the same
-// `Metrics::ToText() + "---\n" + profile` text the bench result cache
-// stores -- separated from the header fields by the first "---" line.
-// The payload is verbatim (it contains its own "---" separator), so the
-// split is on the FIRST such line only.
+// A response optionally carries a result payload -- the
+// `Metrics::ToText() + "---\n" + profile` text of bench::ToPayload, the
+// entry bytes the content cache stores for both the server and the
+// figure benches -- separated from the header fields by the first "---"
+// line. The payload is verbatim (it contains its own "---" separator), so
+// the split is on the FIRST such line only.
 #pragma once
 
 #include <cstdint>
@@ -78,5 +79,11 @@ struct ExperimentResponse {
 /// Replaces CR/LF with spaces so a value can never break the line
 /// grammar (exposed for tests).
 std::string SanitizeValue(std::string value);
+
+/// Shortest decimal text that parses back to exactly `scale`. Requests
+/// and cache keys carry scales in this form: 0.0375 and 0.03749999 build
+/// different workloads, so they must never share a request line or a key.
+/// Short decimals such as 1, 0.5 or 0.03 print as `operator<<` does.
+std::string ScaleText(double scale);
 
 }  // namespace dlpsim::serve

@@ -1,38 +1,9 @@
-// Lightweight named-counter registry used by every hardware model.
-//
-// Components own plain uint64 counters for the hot path and register them
-// here by name so that the harness, tests and report writers can read any
-// statistic generically without bespoke accessors.
+// Saturating hardware counters (the PDPT's per-PC hit counters).
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <string>
-#include <vector>
 
 namespace dlpsim {
-
-class StatRegistry {
- public:
-  /// Registers an externally owned counter under `name`. The pointee must
-  /// outlive the registry. Duplicate names are rejected (returns false).
-  bool Register(const std::string& name, const std::uint64_t* counter);
-
-  /// Looks a counter up; returns 0 for unknown names (missing statistics
-  /// read as zero, which keeps report code total-function).
-  std::uint64_t Get(const std::string& name) const;
-
-  bool Has(const std::string& name) const;
-
-  /// Names in lexicographic order (stable output for golden tests).
-  std::vector<std::string> Names() const;
-
-  /// Renders "name value" lines, one per counter.
-  std::string Dump() const;
-
- private:
-  std::map<std::string, const std::uint64_t*> counters_;
-};
 
 /// Tiny saturating counter helper (hardware hit counters are saturating;
 /// paper §4.3 gives their widths).

@@ -3,15 +3,12 @@
 #include <ostream>
 #include <streambuf>
 
+#include "sim/hash.h"
 #include "trace/writer.h"
 
 namespace dlpsim::trace {
 
 namespace {
-
-// Canonical FNV-1a 64 parameters (same family as serve::Fnv1a64).
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
 
 /// A write-only streambuf that folds every byte into an FNV-1a hash --
 /// the canonical packed bytes are hashed as the writer produces them,
@@ -23,45 +20,21 @@ class FnvStreambuf : public std::streambuf {
  protected:
   int_type overflow(int_type ch) override {
     if (ch != traits_type::eof()) {
-      Fold(static_cast<unsigned char>(ch));
+      const char c = traits_type::to_char_type(ch);
+      hash_ = Fnv1a64(std::string_view(&c, 1), hash_);
     }
     return ch;
   }
   std::streamsize xsputn(const char* s, std::streamsize n) override {
-    for (std::streamsize i = 0; i < n; ++i) {
-      Fold(static_cast<unsigned char>(s[i]));
-    }
+    hash_ = Fnv1a64(std::string_view(s, static_cast<std::size_t>(n)), hash_);
     return n;
   }
 
  private:
-  void Fold(unsigned char b) {
-    hash_ ^= b;
-    hash_ *= kFnvPrime;
-  }
-  std::uint64_t hash_ = kFnvOffset;
+  std::uint64_t hash_ = kFnv1a64Offset;
 };
 
-std::string Hex16(std::uint64_t v) {
-  char buf[17];
-  for (int i = 15; i >= 0; --i) {
-    buf[i] = "0123456789abcdef"[v & 0xf];
-    v >>= 4;
-  }
-  buf[16] = '\0';
-  return buf;
-}
-
 }  // namespace
-
-std::uint64_t FnvHash64(std::string_view data, std::uint64_t seed) {
-  std::uint64_t h = seed;
-  for (const char c : data) {
-    h ^= static_cast<unsigned char>(c);
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 bool TraceContentHash(TraceSource& src, std::uint64_t* hash,
                       TraceParseError* error) {

@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 
 #include "trace/error.h"
 #include "trace/source.h"
@@ -35,8 +34,5 @@ bool TraceFileHash(const std::string& path, std::uint64_t* hash,
 /// Serve-layer trace reference for a trace file: "trace-<16 hex digits>".
 /// Empty string (with *error filled) on failure.
 std::string TraceFileRef(const std::string& path, TraceParseError* error);
-
-/// FNV-1a 64 over raw bytes (exposed for tests; matches serve::Fnv1a64).
-std::uint64_t FnvHash64(std::string_view data, std::uint64_t seed);
 
 }  // namespace dlpsim::trace

@@ -102,26 +102,5 @@ TEST(PerSmProfiler, AttachRejectsSetCountMismatch) {
   EXPECT_EQ(p.accesses(), 0u);
 }
 
-TEST(CacheStatsRegistry, RegistersAllCounters) {
-  CacheStats stats;
-  stats.accesses = 3;
-  stats.bypasses = 1;
-  StatRegistry reg;
-  stats.RegisterAll(reg, "l1d");
-  EXPECT_EQ(reg.Get("l1d.accesses"), 3u);
-  EXPECT_EQ(reg.Get("l1d.bypasses"), 1u);
-  EXPECT_GE(reg.Names().size(), 14u);
-  stats.accesses = 10;  // live pointer semantics
-  EXPECT_EQ(reg.Get("l1d.accesses"), 10u);
-}
-
-TEST(CacheStatsRegistry, CrossbarStatsRegister) {
-  Crossbar xbar(IcntConfig{}, 1, 1);
-  StatRegistry reg;
-  xbar.RegisterStats(reg, "icnt");
-  EXPECT_TRUE(reg.Has("icnt.bytes_l1d"));
-  EXPECT_TRUE(reg.Has("icnt.packets_delivered"));
-}
-
 }  // namespace
 }  // namespace dlpsim

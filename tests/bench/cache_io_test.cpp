@@ -1,10 +1,19 @@
+// The bench result cache is serve::ContentCache under the server's key
+// and payload: entry round trips, key composition, and bench::Run
+// leaving an entry the server can serve. The store's own write
+// discipline (temp file, footer, rename) is tested in tests/serve/.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <iterator>
+#include <stdexcept>
+#include <string>
 
 #include "harness.h"
+#include "serve/content_cache.h"
+#include "serve/request.h"
 
 namespace dlpsim::bench {
 namespace {
@@ -36,65 +45,127 @@ class CacheIoTest : public ::testing::Test {
 };
 
 TEST_F(CacheIoTest, StoreLoadRoundTrip) {
-  const fs::path path = dir_ / "entry.txt";
+  const serve::ContentCache cache(dir_);
+  const std::string key = CellKey("SRK", "base", 1.0);
   const RunResult r = SampleResult();
-  StoreCacheFile(path, r);
-  ASSERT_TRUE(fs::exists(path));
+  // The payload is the text dlpsim_server returns and stores.
+  EXPECT_EQ(ToPayload(r), r.metrics.ToText() + "---\n" + r.profile.ToText());
+  ASSERT_TRUE(cache.Store(key, ToPayload(r)));
 
+  const auto payload = cache.Load(key);
+  ASSERT_TRUE(payload.has_value());
   RunResult back;
-  ASSERT_TRUE(LoadCacheFile(path, &back));
+  ASSERT_TRUE(FromPayload(*payload, &back));
   EXPECT_EQ(back.metrics.ToText(), r.metrics.ToText());
   EXPECT_EQ(back.profile.ToText(), r.profile.ToText());
 }
 
-TEST_F(CacheIoTest, StoreLeavesNoTempFiles) {
-  const fs::path path = dir_ / "entry.txt";
-  StoreCacheFile(path, SampleResult());
+TEST_F(CacheIoTest, MissingFileFails) {
+  // An entry in the retired name-keyed format is not read either.
+  std::ofstream(dir_ / "v2_SRK_base_s1.txt")
+      << SampleResult().metrics.ToText() << "---\n"
+      << SampleResult().profile.ToText() << "#complete\n";
+  EXPECT_FALSE(
+      serve::ContentCache(dir_).Load(CellKey("SRK", "base", 1.0)).has_value());
+}
+
+TEST_F(CacheIoTest, TruncatedEntryRejected) {
+  const serve::ContentCache cache(dir_);
+  const std::string key = CellKey("SRK", "base", 1.0);
+  ASSERT_TRUE(cache.Store(key, ToPayload(SampleResult())));
+
+  // Simulate a writer killed mid-write: chop the entry anywhere. No
+  // truncation point may yield a usable result on the path bench::Run
+  // reads, because every complete entry ends with the footer line.
+  const fs::path path = cache.PathFor(key);
+  std::string full;
+  {
+    std::ifstream in(path, std::ios::binary);
+    full.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  for (std::size_t len = 0; len < full.size(); len += 7) {
+    std::ofstream(path, std::ios::binary | std::ios::trunc)
+        << full.substr(0, len);
+    const auto payload = cache.Load(key);
+    RunResult out;
+    EXPECT_FALSE(payload && FromPayload(*payload, &out))
+        << "truncated at " << len;
+  }
+}
+
+TEST_F(CacheIoTest, GarbageWithFooterRejected) {
+  const serve::ContentCache cache(dir_);
+  const std::string key = CellKey("SRK", "base", 1.0);
+  std::ofstream(cache.PathFor(key))
+      << "not a metrics block\n---\nnot a profile\n#complete\n";
+  const auto payload = cache.Load(key);
+  ASSERT_TRUE(payload.has_value());  // complete entry, unusable payload
+  RunResult out;
+  EXPECT_FALSE(FromPayload(*payload, &out));
+
+  const RunResult r = SampleResult();
+  EXPECT_FALSE(FromPayload(r.metrics.ToText(), &out));  // no separator
+  EXPECT_FALSE(FromPayload(r.metrics.ToText() + "---\nnope\n", &out));
+  EXPECT_FALSE(FromPayload("nope\n---\n" + r.profile.ToText(), &out));
+}
+
+TEST_F(CacheIoTest, PathIsScaleAware) {
+  const serve::ContentCache cache(dir_);
+  const fs::path a = cache.PathFor(CellKey("SRK", "base", 1.0));
+  EXPECT_NE(a, cache.PathFor(CellKey("SRK", "base", 0.5)));
+  EXPECT_NE(a, cache.PathFor(CellKey("SRK", "dlp", 1.0)));
+  EXPECT_NE(a, cache.PathFor(CellKey("NW", "base", 1.0)));
+  EXPECT_EQ(a, cache.PathFor(CellKey("SRK", "base", 1.0)));
+  // Alike at 6 significant digits, different workloads.
+  EXPECT_NE(cache.PathFor(CellKey("PVR", "base", 0.0375)),
+            cache.PathFor(CellKey("PVR", "base", 0.03749999)));
+  EXPECT_THROW(CellKey("SRK", "nope", 1.0), std::out_of_range);
+}
+
+TEST_F(CacheIoTest, CellKeyIsTheServerKey) {
+  // The server keys a generated-workload request, as it arrives over the
+  // wire, by canonical config text x workload ref x binary version.
+  struct Cell {
+    const char* app;
+    const char* config;
+    double scale;
+  };
+  const Cell cells[] = {{"NW", "dlp", 0.0375},
+                       {"NW", "dlp", 0.03749999},
+                       {"BFS", "base", 1.0},
+                       {"SRK", "64kb", 0.03}};
+  for (const Cell& c : cells) {
+    serve::ExperimentRequest req;
+    req.app = c.app;
+    req.config = c.config;
+    req.scale = c.scale;
+    serve::ExperimentRequest got;
+    ASSERT_TRUE(serve::ExperimentRequest::Parse(req.Serialize(), &got));
+    const std::string server_key =
+        serve::ContentKey(CanonicalText(ConfigFor(got.config)),
+                          serve::WorkloadTraceRef(got.app, got.scale));
+    EXPECT_EQ(CellKey(c.app, c.config, c.scale), server_key)
+        << c.app << '/' << c.config << '@' << c.scale;
+  }
+  EXPECT_NE(CellKey("NW", "dlp", 0.0375), CellKey("NW", "dlp", 0.03749999));
+}
+
+TEST_F(CacheIoTest, RunStoresEntryUnderCellKey) {
+  ASSERT_EQ(::setenv("DLPSIM_CACHE_DIR", dir_.c_str(), 1), 0);
+  const RunResult r = bench::Run("NW", "dlp", 0.02);
+  ::unsetenv("DLPSIM_CACHE_DIR");
+
+  const serve::ContentCache cache(dir_);
+  const auto entry = cache.Load(CellKey("NW", "dlp", 0.02));
+  ASSERT_TRUE(entry.has_value());
+  EXPECT_EQ(*entry, ToPayload(r));
+  EXPECT_EQ(*entry, ToPayload(SimulateUncached("NW", "dlp", 0.02)));
   std::size_t files = 0;
   for (const auto& e : fs::directory_iterator(dir_)) {
     (void)e;
     ++files;
   }
   EXPECT_EQ(files, 1u);
-}
-
-TEST_F(CacheIoTest, MissingFileFails) {
-  EXPECT_FALSE(LoadCacheFile(dir_ / "nope.txt", nullptr));
-}
-
-TEST_F(CacheIoTest, TruncatedEntryRejected) {
-  const fs::path path = dir_ / "entry.txt";
-  StoreCacheFile(path, SampleResult());
-
-  // Simulate a writer killed mid-write: chop the file anywhere. No
-  // truncation point may yield a loadable entry, because every complete
-  // entry ends with the footer line.
-  std::string full;
-  {
-    std::ifstream in(path);
-    std::stringstream buf;
-    buf << in.rdbuf();
-    full = buf.str();
-  }
-  for (std::size_t len = 0; len < full.size(); len += 7) {
-    std::ofstream(path, std::ios::trunc) << full.substr(0, len);
-    EXPECT_FALSE(LoadCacheFile(path, nullptr)) << "truncated at " << len;
-  }
-}
-
-TEST_F(CacheIoTest, GarbageWithFooterRejected) {
-  const fs::path path = dir_ / "entry.txt";
-  std::ofstream(path) << "not a metrics block\n---\nnot a profile\n"
-                      << "#complete\n";
-  EXPECT_FALSE(LoadCacheFile(path, nullptr));
-}
-
-TEST_F(CacheIoTest, PathIsScaleAware) {
-  const fs::path a = CachePathFor("SRK", "base", 1.0);
-  const fs::path b = CachePathFor("SRK", "base", 0.5);
-  const fs::path c = CachePathFor("SRK", "dlp", 1.0);
-  EXPECT_NE(a, b);
-  EXPECT_NE(a, c);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
 #include <stdexcept>
 
 namespace dlpsim::bench {
@@ -92,6 +93,18 @@ TEST(Harness, GridSurvivesFailingCellAndReportsIt) {
     }
   }
   EXPECT_TRUE(found);
+}
+
+TEST(Harness, RunKeepsScalesApartExactly) {
+  // 0.0375 and 0.03749999 print alike at 6 significant digits but build
+  // different PVR workloads (6 iterations against 5): the memo must not
+  // hand one scale's result to the other.
+  ASSERT_EQ(::setenv("DLPSIM_NOCACHE", "1", 1), 0);
+  const RunResult a = bench::Run("PVR", "base", 0.0375);
+  const RunResult b = bench::Run("PVR", "base", 0.03749999);
+  ::unsetenv("DLPSIM_NOCACHE");
+  EXPECT_NE(a.metrics.committed_thread_insns,
+            b.metrics.committed_thread_insns);
 }
 
 TEST(Harness, FaultSpecParseFailureIsATypedCellError) {

@@ -96,22 +96,36 @@ TEST(ContentCache, TruncatedEntryIsAMiss) {
   TempDir tmp;
   ContentCache cache(tmp.path());
   const std::string key = ContentKey("c", "t");
-  ASSERT_TRUE(cache.Store(key, "payload\n"));
+  ASSERT_TRUE(cache.Store(key, "a 1\n---\nrdd 0 1\n"));
 
-  // Chop the "#complete" footer: simulates a writer killed mid-write in
-  // a pre-atomic-rename world; the reader must treat it as missing.
+  // Simulate a writer killed mid-write: chop the entry anywhere. No
+  // truncation point may yield a hit, because every complete entry ends
+  // with the "#complete" footer line.
   const fs::path p = cache.PathFor(key);
   std::string text;
   {
     std::ifstream in(p, std::ios::binary);
     text.assign(std::istreambuf_iterator<char>(in), {});
   }
-  ASSERT_GT(text.size(), 4u);
-  {
-    std::ofstream out(p, std::ios::binary | std::ios::trunc);
-    out << text.substr(0, text.size() - 4);
+  for (std::size_t len = 0; len < text.size(); ++len) {
+    {
+      std::ofstream out(p, std::ios::binary | std::ios::trunc);
+      out << text.substr(0, len);
+    }
+    EXPECT_FALSE(cache.Load(key).has_value()) << "truncated at " << len;
   }
-  EXPECT_FALSE(cache.Load(key).has_value());
+}
+
+TEST(ContentCache, StoreLeavesNoTempFiles) {
+  TempDir tmp;
+  ContentCache cache(tmp.path());
+  ASSERT_TRUE(cache.Store(ContentKey("c", "t"), "payload\n"));
+  std::size_t files = 0;
+  for (const auto& e : fs::directory_iterator(tmp.path())) {
+    EXPECT_EQ(e.path(), cache.PathFor(ContentKey("c", "t")));
+    ++files;
+  }
+  EXPECT_EQ(files, 1u);
 }
 
 TEST(ContentCache, DisabledWhenDirEmpty) {
@@ -126,6 +140,18 @@ TEST(WorkloadTraceRefTest, EncodesAppAndScale) {
   EXPECT_NE(a, WorkloadTraceRef("NW", 1.0));
   EXPECT_NE(a, WorkloadTraceRef("BFS", 0.5));
   EXPECT_EQ(a, WorkloadTraceRef("BFS", 1.0));
+  // Scales that print alike at 6 significant digits but build different
+  // workloads (PVR runs 6 iterations at 0.0375, 5 at 0.03749999).
+  EXPECT_NE(WorkloadTraceRef("PVR", 0.0375),
+            WorkloadTraceRef("PVR", 0.03749999));
+  // Short scales keep the text existing cache entries were keyed with.
+  EXPECT_EQ(a, "app BFS scale 1");
+  EXPECT_EQ(WorkloadTraceRef("BFS", 0.5), "app BFS scale 0.5");
+  EXPECT_EQ(WorkloadTraceRef("BFS", 0.25), "app BFS scale 0.25");
+  EXPECT_EQ(WorkloadTraceRef("BFS", 0.1), "app BFS scale 0.1");
+  EXPECT_EQ(WorkloadTraceRef("BFS", 0.05), "app BFS scale 0.05");
+  EXPECT_EQ(WorkloadTraceRef("BFS", 0.03), "app BFS scale 0.03");
+  EXPECT_EQ(WorkloadTraceRef("BFS", 0.02), "app BFS scale 0.02");
 }
 
 TEST(Fnv1a64Test, MatchesReferenceVectors) {

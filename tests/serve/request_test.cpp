@@ -12,7 +12,7 @@ TEST(Request, RoundTripsEveryField) {
   r.id = 42;
   r.app = "BFS";
   r.config = "dlp";
-  r.scale = 0.25;
+  r.scale = 0.03749999;  // 6 significant digits would print 0.0375
   r.deadline_ms = 1500;
   r.watchdog_cycles = 200000;
   r.faults = "seed=7,count=16";
@@ -26,7 +26,7 @@ TEST(Request, RoundTripsEveryField) {
   EXPECT_EQ(got.id, 42u);
   EXPECT_EQ(got.app, "BFS");
   EXPECT_EQ(got.config, "dlp");
-  EXPECT_DOUBLE_EQ(got.scale, 0.25);
+  EXPECT_EQ(got.scale, 0.03749999);
   EXPECT_EQ(got.deadline_ms, 1500u);
   EXPECT_EQ(got.watchdog_cycles, 200000u);
   EXPECT_EQ(got.faults, "seed=7,count=16");

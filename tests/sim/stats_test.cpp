@@ -5,51 +5,6 @@
 namespace dlpsim {
 namespace {
 
-TEST(StatRegistry, RegisterAndRead) {
-  std::uint64_t counter = 0;
-  StatRegistry reg;
-  EXPECT_TRUE(reg.Register("x.count", &counter));
-  counter = 42;
-  EXPECT_EQ(reg.Get("x.count"), 42u);
-  EXPECT_TRUE(reg.Has("x.count"));
-}
-
-TEST(StatRegistry, DuplicateNamesRejected) {
-  std::uint64_t a = 0;
-  std::uint64_t b = 0;
-  StatRegistry reg;
-  EXPECT_TRUE(reg.Register("n", &a));
-  EXPECT_FALSE(reg.Register("n", &b));
-  a = 7;
-  EXPECT_EQ(reg.Get("n"), 7u);
-}
-
-TEST(StatRegistry, UnknownNameReadsZero) {
-  StatRegistry reg;
-  EXPECT_EQ(reg.Get("missing"), 0u);
-  EXPECT_FALSE(reg.Has("missing"));
-}
-
-TEST(StatRegistry, NamesSorted) {
-  std::uint64_t c = 0;
-  StatRegistry reg;
-  reg.Register("b", &c);
-  reg.Register("a", &c);
-  reg.Register("c", &c);
-  const auto names = reg.Names();
-  ASSERT_EQ(names.size(), 3u);
-  EXPECT_EQ(names[0], "a");
-  EXPECT_EQ(names[1], "b");
-  EXPECT_EQ(names[2], "c");
-}
-
-TEST(StatRegistry, DumpFormat) {
-  std::uint64_t c = 5;
-  StatRegistry reg;
-  reg.Register("one", &c);
-  EXPECT_EQ(reg.Dump(), "one 5\n");
-}
-
 TEST(SaturatingCounter, SaturatesAtWidth) {
   SaturatingCounter c(2);  // max 3
   EXPECT_EQ(c.max(), 3u);

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "serve/content_cache.h"
+#include "sim/hash.h"
 #include "sim/rng.h"
 #include "trace/record.h"
 #include "trace/source.h"
@@ -129,11 +130,14 @@ TEST(Hash, EmptyTraceHashesAndIsStable) {
   EXPECT_EQ(ha, hb);
 }
 
-TEST(Hash, FnvMatchesServeFnv1a64) {
-  // Same hash family as the serve layer's key hasher, same constants.
-  const std::string samples[] = {"", "a", "trace", "dlpsim content key"};
-  for (const std::string& s : samples) {
-    EXPECT_EQ(FnvHash64(s, 0xcbf29ce484222325ull), serve::Fnv1a64(s)) << s;
+TEST(Hash, FnvFoldsChunksLikeWhole) {
+  // The content hash folds the canonical bytes through Fnv1a64 chunk by
+  // chunk as the writer emits them; every split must equal one pass.
+  const std::string_view s = "dlpsim content key";
+  const std::uint64_t whole = Fnv1a64(s);
+  for (std::size_t cut = 0; cut <= s.size(); ++cut) {
+    EXPECT_EQ(Fnv1a64(s.substr(cut), Fnv1a64(s.substr(0, cut))), whole)
+        << "cut at " << cut;
   }
 }
 

@@ -121,16 +121,17 @@ serve::WorkerResult BenchRunner(const serve::ExperimentRequest& req) {
   ov.watchdog_cycles = req.watchdog_cycles;
   // Throws propagate: WorkerLoop maps RunErrorException to its typed
   // kind and anything else to kRunFailed.
-  const bench::RunResult r =
-      bench::SimulateUncached(req.app, req.config, req.scale, ov);
   serve::WorkerResult out;
-  out.result = r.metrics.ToText() + "---\n" + r.profile.ToText();
+  out.result = bench::ToPayload(
+      bench::SimulateUncached(req.app, req.config, req.scale, ov));
   return out;
 }
 
 /// Content key for real experiments: canonicalized configuration text
 /// (so "dlp" keys identically however it was spelled into a SimConfig)
-/// x workload trace ref x binary version. Requests with resilience
+/// x workload trace ref x binary version. Generated workloads key through
+/// bench::CellKey, so the figure benches' DLPSIM_CACHE_DIR entries are
+/// this server's entries and vice versa. Requests with resilience
 /// hooks are never cached -- faulty results must not be served to clean
 /// requests, mirroring the DLPSIM_FAULTS/DLPSIM_NOCACHE coupling of the
 /// bench harness. Trace-replay requests key on the trace file's *content
@@ -144,20 +145,19 @@ std::string BenchKeyFn(const serve::ExperimentRequest& req) {
   }
   std::string config_text;
   try {
+    if (req.trace.empty()) {
+      return bench::CellKey(req.app, req.config, req.scale);
+    }
     config_text = CanonicalText(bench::ConfigFor(req.config));
   } catch (const std::exception&) {
     return "";  // unknown config: let the worker produce the typed error
   }
-  if (!req.trace.empty()) {
-    TraceParseError perr;
-    const std::string ref = trace::TraceFileRef(req.trace, &perr);
-    // Unreadable/corrupt trace: uncached; the worker reports the typed
-    // parse error and a later fixed file is not shadowed by a bad entry.
-    if (ref.empty()) return "";
-    return serve::ContentKey(config_text, ref);
-  }
-  return serve::ContentKey(config_text,
-                           serve::WorkloadTraceRef(req.app, req.scale));
+  TraceParseError perr;
+  const std::string ref = trace::TraceFileRef(req.trace, &perr);
+  // Unreadable/corrupt trace: uncached; the worker reports the typed
+  // parse error and a later fixed file is not shadowed by a bad entry.
+  if (ref.empty()) return "";
+  return serve::ContentKey(config_text, ref);
 }
 
 struct Flags {
