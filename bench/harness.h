@@ -68,10 +68,12 @@
 //                       TimingScope destruction: <bench>_metrics.prom
 //                       (Prometheus text exposition) and
 //                       <bench>_metrics.json into DLPSIM_TIMING_DIR.
-//                       Counters are integer-only and merge-order
-//                       independent, so the dump is byte-identical at
-//                       any DLPSIM_JOBS (enforced by
-//                       tests/obs/metrics_determinism_test.cpp).
+//                       Every simulated cell publishes into it once, as
+//                       its GpuSimulator::Run returns. Counters are
+//                       integer-only and add-order independent, so the
+//                       dump is byte-identical at any DLPSIM_JOBS
+//                       (enforced by
+//                       tests/bench/metrics_determinism_test.cpp).
 //   DLPSIM_PROGRESS   - heartbeat while a cell simulates: "1" emits a
 //                       [progress] line to stderr every 1M core cycles
 //                       (cycle, accesses/sec, warps finished, ETA); a

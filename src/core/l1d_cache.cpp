@@ -2,7 +2,6 @@
 
 #include <cassert>
 
-#include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/trace_sink.h"
 
@@ -30,18 +29,10 @@ L1DCache::L1DCache(const L1DConfig& cfg)
     : cfg_(cfg),
       tda_(cfg.geom),
       mshr_(cfg.mshr_entries, cfg.mshr_max_merged),
-      policy_(MakePolicy(cfg)) {
+      policy_(MakePolicy(cfg)),
+      mshr_occupancy_(cfg.mshr_entries + std::size_t{1}, 0) {
   tda_.SetPlCounters(&pl_counters_);
   policy_->SetPlCounters(&pl_counters_);
-  obs::Registry& reg = obs::Registry::Global();
-  m_accesses_ = reg.GetCounter(
-      "cache", "accesses", "L1D accesses committed (hit, miss or bypass)");
-  m_fills_ = reg.GetCounter("cache", "fills",
-                            "L1D lines filled by returning responses");
-  static constexpr std::uint64_t kMshrBounds[] = {0, 1, 2, 4, 8, 16, 32};
-  m_mshr_occupancy_ = reg.GetHistogram(
-      "cache", "mshr_occupancy", kMshrBounds,
-      "MSHR entries in use after each miss allocation");
 }
 
 void L1DCache::CommitQuery(const MemAccess& access, std::uint32_t set,
@@ -50,7 +41,6 @@ void L1DCache::CommitQuery(const MemAccess& access, std::uint32_t set,
     observer_->OnAccess(set, block, access.pc, access.type, hit);
   }
   ++stats_.accesses;
-  m_accesses_->Add();
   obs::ProfileSpan span(profiler_, obs::Phase::kPolicyUpdate);
   policy_->OnSetQuery(tda_.SetView(set));
   policy_->OnAccessSampled(now);
@@ -212,7 +202,7 @@ AccessResult L1DCache::AccessLoad(const MemAccess& access, std::uint32_t set,
       EvictFor(set, choice.way, block, access.pc);
       policy_->OnReserve(tda_.At(set, choice.way), access.pc);
       mshr_.Allocate(block, access.token);
-      m_mshr_occupancy_->Observe(mshr_.size());
+      ++mshr_occupancy_[mshr_.size()];
       PushOutgoing(L1DOutgoing{.block = block,
                                .write = false,
                                .no_fill = false,
@@ -299,7 +289,6 @@ void L1DCache::Fill(const L1DResponse& response, Cycle now,
   assert(filled && "fill for a block that is not reserved");
   (void)filled;
   ++stats_.fills;
-  m_fills_->Add();
   if (trace_ != nullptr) {
     trace_->SetNow(now);
     trace_->Emit({.block = response.block,

@@ -31,8 +31,6 @@ namespace dlpsim {
 class TraceSink;
 
 namespace obs {
-class Counter;
-class Histogram;
 class Profiler;
 }  // namespace obs
 
@@ -94,6 +92,11 @@ class L1DCache {
 
   // --- introspection ---
   const CacheStats& stats() const { return stats_; }
+  /// mshr_occupancy()[n] counts the miss allocations that left n MSHR
+  /// entries in use (size mshr_entries + 1). Lifetime, like stats().
+  const std::vector<std::uint64_t>& mshr_occupancy() const {
+    return mshr_occupancy_;
+  }
   const TagArray& tda() const { return tda_; }
   const MshrTable& mshr() const { return mshr_; }
   const ProtectionPolicy& policy() const { return *policy_; }
@@ -177,13 +180,10 @@ class L1DCache {
   std::unique_ptr<ProtectionPolicy> policy_;
   std::deque<L1DOutgoing> outgoing_;
   CacheStats stats_;
+  std::vector<std::uint64_t> mshr_occupancy_;
   AccessObserver* observer_ = nullptr;
   TraceSink* trace_ = nullptr;
   obs::Profiler* profiler_ = nullptr;
-  // Registry instruments (cached stable pointers; see obs/metrics.h).
-  obs::Counter* m_accesses_ = nullptr;        // cache.accesses
-  obs::Counter* m_fills_ = nullptr;           // cache.fills
-  obs::Histogram* m_mshr_occupancy_ = nullptr;  // cache.mshr_occupancy
   std::uint16_t sm_ = 0;
   Cycle fault_blackout_until_ = 0;  // robust/: accesses fail before this
 };

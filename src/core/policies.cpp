@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "obs/metrics.h"
 #include "obs/trace_sink.h"
 
 namespace dlpsim {
@@ -70,17 +69,7 @@ ProtectedLifePolicy::ProtectedLifePolicy(const L1DConfig& cfg,
                                          std::uint32_t insn_id_bits)
     : pdpt_(OverrideTable(cfg.prot, table_entries, insn_id_bits), VtaWays(cfg)),
       vta_(cfg.geom.sets, VtaWays(cfg)),
-      window_(cfg.prot) {
-  obs::Registry& reg = obs::Registry::Global();
-  m_pl_decrements_ = reg.GetCounter(
-      "cache", "pl_decrements",
-      "protected-life decrements applied by set-query decay");
-  m_pd_recomputes_ = reg.GetCounter(
-      "cache", "pd_recomputes",
-      "PDPT end-of-window protection-distance recomputations");
-  m_vta_hits_ = reg.GetCounter(
-      "cache", "vta_hits", "victim-tag-array hits credited on load misses");
-}
+      window_(cfg.prot) {}
 
 void ProtectedLifePolicy::OnSetQuery(std::span<CacheLine> set) {
   // Lines with PL > 0 are always occupied (Reserve and Invalidate both
@@ -95,9 +84,7 @@ void ProtectedLifePolicy::OnSetQuery(std::span<CacheLine> set) {
       }
     }
   }
-  // One batched registry add per query keeps the hot loop's metric cost
-  // to at most one relaxed fetch_add regardless of associativity.
-  if (decrements > 0) m_pl_decrements_->Add(decrements);
+  pl_decrements += decrements;
 }
 
 void ProtectedLifePolicy::StampOwnership(CacheLine& line, Pc pc) {
@@ -133,7 +120,7 @@ void ProtectedLifePolicy::OnLoadMiss(std::uint32_t set, Addr block, Pc pc) {
   const VictimTagArray::HitInfo info = vta_.ProbeAndConsume(set, block);
   if (!info.hit) return;
   pdpt_.CreditVtaHit(info.insn_id);
-  m_vta_hits_->Add();
+  ++vta_hits;
   if (trace_ != nullptr) {
     trace_->Emit({.arg0 = info.insn_id,
                   .block = block,
@@ -171,7 +158,6 @@ VictimChoice ProtectedLifePolicy::PickVictim(const TagArray& tda,
 
 void ProtectedLifePolicy::OnAccessSampled(Cycle now) {
   if (!window_.OnAccess(now)) return;
-  m_pd_recomputes_->Add();
   if (trace_ == nullptr) {
     pdpt_.EndSample();
   } else {

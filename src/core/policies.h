@@ -30,10 +30,6 @@ namespace dlpsim {
 
 class TraceSink;
 
-namespace obs {
-class Counter;
-}  // namespace obs
-
 /// Outcome of asking a policy where a missing line may be placed.
 struct VictimChoice {
   enum class Kind : std::uint8_t {
@@ -119,6 +115,12 @@ class ProtectionPolicy {
   virtual PdpTable* mutable_pdpt() { return nullptr; }
   virtual VictimTagArray* mutable_vta() { return nullptr; }
 
+  // Lifetime telemetry, kept by the protected-life policies (zero under
+  // Baseline and Stall-Bypass). Counted off completed policy work, never
+  // read back into decisions, and not cleared by Reset().
+  std::uint64_t pl_decrements = 0;  // PL decrements by set-query decay
+  std::uint64_t vta_hits = 0;       // VTA hits credited on load misses
+
  protected:
   TraceSink* trace_ = nullptr;
   std::uint16_t trace_sm_ = 0;
@@ -182,13 +184,6 @@ class ProtectedLifePolicy : public ProtectionPolicy {
   /// Common OnLoadHit/OnMergedMiss/OnReserve tail: move instruction
   /// ownership to `pc` and rewrite PL (tracing PL-field saturation).
   void StampOwnership(CacheLine& line, Pc pc);
-
-  // Registry instruments (obs::Registry::Global(); stable pointers cached
-  // at construction). Pure telemetry: counted off completed policy work,
-  // never read back into decisions.
-  obs::Counter* m_pl_decrements_ = nullptr;  // cache.pl_decrements
-  obs::Counter* m_pd_recomputes_ = nullptr;  // cache.pd_recomputes
-  obs::Counter* m_vta_hits_ = nullptr;       // cache.vta_hits
 };
 
 class GlobalProtectionPolicy : public ProtectedLifePolicy {

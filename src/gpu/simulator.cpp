@@ -2,7 +2,9 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
+#include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/progress.h"
 #include "obs/trace_sink.h"
@@ -228,7 +230,61 @@ Metrics GpuSimulator::Run() {
   if (timeline_ != nullptr) {
     timeline_->Record(clocks_.cycles(core_domain_), m, SnapshotPolicy());
   }
+  PublishMetrics(obs::Registry::Global());
   return m;
+}
+
+void GpuSimulator::PublishMetrics(obs::Registry& registry) const {
+  const auto add = [&registry](std::string_view scope, std::string_view name,
+                               std::string_view help, std::uint64_t n) {
+    registry.GetCounter(scope, name, help)->Add(n);
+  };
+  const Metrics m = Collect();
+  add("cache", "accesses", "L1D accesses committed (hit, miss or bypass)",
+      m.l1d_accesses);
+  add("cache", "fills", "L1D lines filled by returning responses",
+      m.l1d_fills);
+  add("icnt", "packets_delivered", "packets landed in a delivery queue",
+      icnt_.packets_delivered);
+  add("mem", "dram_reads", "DRAM read commands issued", m.dram_reads);
+  add("mem", "dram_writes", "DRAM write commands issued", m.dram_writes);
+  std::uint64_t served = 0;
+  for (const MemoryPartition& p : partitions_) served += p.requests_served;
+  add("mem", "requests_served",
+      "read replies injected back into the interconnect", served);
+
+  static constexpr std::uint64_t kMshrBounds[] = {0, 1, 2, 4, 8, 16, 32};
+  obs::Histogram* mshr_occupancy = registry.GetHistogram(
+      "cache", "mshr_occupancy", kMshrBounds,
+      "MSHR entries in use after each miss allocation");
+  std::uint64_t pl_decrements = 0;
+  std::uint64_t pd_recomputes = 0;
+  std::uint64_t vta_hits = 0;
+  bool protected_life = false;
+  for (const SmCore& core : cores_) {
+    const std::vector<std::uint64_t>& occupancy = core.l1d().mshr_occupancy();
+    for (std::size_t n = 0; n < occupancy.size(); ++n) {
+      mshr_occupancy->Observe(n, occupancy[n]);
+    }
+    const ProtectionPolicy& policy = core.l1d().policy();
+    if (const PdpTable* pdpt = policy.pdpt(); pdpt != nullptr) {
+      protected_life = true;
+      pl_decrements += policy.pl_decrements;
+      pd_recomputes += pdpt->samples_taken;
+      vta_hits += policy.vta_hits;
+    }
+  }
+  // Only Global-Protection and DLP keep these counters, so a run under an
+  // LRU policy leaves them unregistered.
+  if (protected_life) {
+    add("cache", "pl_decrements",
+        "protected-life decrements applied by set-query decay", pl_decrements);
+    add("cache", "pd_recomputes",
+        "PDPT end-of-window protection-distance recomputations",
+        pd_recomputes);
+    add("cache", "vta_hits", "victim-tag-array hits credited on load misses",
+        vta_hits);
+  }
 }
 
 Metrics GpuSimulator::Collect() const {

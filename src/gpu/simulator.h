@@ -24,6 +24,7 @@ class TraceSink;
 namespace obs {
 class Profiler;
 class ProgressMeter;
+class Registry;
 }  // namespace obs
 
 namespace robust {
@@ -76,8 +77,17 @@ class GpuSimulator {
   PolicySnapshot SnapshotPolicy() const;
 
   /// Runs until every core drains (or the max_core_cycles cap) and
-  /// returns aggregated metrics.
+  /// returns aggregated metrics. As it returns, publishes the run into
+  /// obs::Registry::Global() (PublishMetrics). Call it once per
+  /// simulator: the component counters are lifetime totals, so a second
+  /// Run would publish the first run's work again.
   Metrics Run();
+
+  /// Adds this simulator's component counters to `registry`: cache
+  /// accesses, fills and MSHR occupancy, icnt deliveries, DRAM reads and
+  /// writes, and partition replies; plus PL decrements, PD recomputes
+  /// and VTA hits when the L1D policy is Global-Protection or DLP.
+  void PublishMetrics(obs::Registry& registry) const;
 
   /// Single-step variants for tests.
   void Step();          // one clock-domain event

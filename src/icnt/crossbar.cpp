@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "obs/metrics.h"
-
 namespace dlpsim {
 
 Crossbar::Crossbar(const IcntConfig& cfg, std::uint32_t num_cores,
@@ -12,10 +10,7 @@ Crossbar::Crossbar(const IcntConfig& cfg, std::uint32_t num_cores,
       core_ports_(num_cores),
       partition_ports_(num_partitions),
       to_partition_(num_partitions),
-      to_core_(num_cores),
-      m_delivered_(obs::Registry::Global().GetCounter(
-          "icnt", "packets_delivered",
-          "packets landed in a delivery queue")) {}
+      to_core_(num_cores) {}
 
 bool Crossbar::CanInjectFromCore(std::uint32_t core) const {
   return core_ports_[core].queue.size() < kInjectQueueCap;
@@ -91,7 +86,6 @@ void Crossbar::Deliver(Cycle now) {
     if (queue.size() < kDeliveryQueueCap) {
       queue.push_back(f.pkt);
       ++packets_delivered;
-      m_delivered_->Add();
     } else {
       if (kept != due) flight_[kept] = f;
       ++kept;

@@ -19,10 +19,6 @@
 
 namespace dlpsim {
 
-namespace obs {
-class Counter;
-}  // namespace obs
-
 struct IcntPacket {
   enum class Kind : std::uint8_t {
     kReadRequest,  // L1D (or bypassed) read: core -> partition
@@ -110,7 +106,6 @@ class Crossbar {
   std::vector<std::deque<IcntPacket>> to_partition_;  // delivery queues
   std::vector<std::deque<IcntPacket>> to_core_;
   std::uint64_t fault_stall_cycles_ = 0;  // robust/: ticks to swallow
-  obs::Counter* m_delivered_ = nullptr;   // icnt.packets_delivered
 
   static constexpr std::size_t kInjectQueueCap = 8;
   static constexpr std::size_t kDeliveryQueueCap = 16;

@@ -3,19 +3,13 @@
 #include <algorithm>
 #include <cassert>
 
-#include "obs/metrics.h"
-
 namespace dlpsim {
 
 DramChannel::DramChannel(const DramConfig& cfg, std::uint32_t line_bytes)
     : cfg_(cfg),
       line_bytes_(line_bytes),
       lines_per_row_(std::max(1u, cfg.row_bytes / line_bytes)),
-      banks_(cfg.banks),
-      m_reads_(obs::Registry::Global().GetCounter(
-          "mem", "dram_reads", "DRAM read commands issued")),
-      m_writes_(obs::Registry::Global().GetCounter(
-          "mem", "dram_writes", "DRAM write commands issued")) {}
+      banks_(cfg.banks) {}
 
 std::uint32_t DramChannel::BankOf(Addr block) const {
   // Row-granular interleave: consecutive lines share a row (streaming
@@ -58,7 +52,6 @@ void DramChannel::IssueFirstReady(Cycle now) {
     bus_busy_until_ = std::max(bus_busy_until_, now + latency) + burst;
     const Request& req = it->req;
     req.write ? ++writes : ++reads;
-    (req.write ? m_writes_ : m_reads_)->Add();
     in_service_.push_back(
         InService{Completion{req.block, req.write, req.tag}, bus_busy_until_});
     queue_.erase(it);

@@ -13,10 +13,6 @@
 
 namespace dlpsim {
 
-namespace obs {
-class Counter;
-}  // namespace obs
-
 class DramChannel {
  public:
   DramChannel(const DramConfig& cfg, std::uint32_t line_bytes);
@@ -85,8 +81,6 @@ class DramChannel {
   // Earliest busy_until among the banks of queued requests (max when the
   // queue is empty): before that cycle no queued request can issue.
   Cycle first_bank_free_ = std::numeric_limits<Cycle>::max();
-  obs::Counter* m_reads_ = nullptr;   // mem.dram_reads
-  obs::Counter* m_writes_ = nullptr;  // mem.dram_writes
 
   static constexpr std::size_t kQueueCap = 32;
 };

@@ -2,18 +2,13 @@
 
 #include <cassert>
 
-#include "obs/metrics.h"
-
 namespace dlpsim {
 
 MemoryPartition::MemoryPartition(const SimConfig& cfg, PartitionId id)
     : cfg_(cfg),
       id_(id),
       l2_(cfg.l2),
-      dram_(cfg.dram, cfg.l2.geom.line_bytes),
-      m_served_(obs::Registry::Global().GetCounter(
-          "mem", "requests_served",
-          "read replies injected back into the interconnect")) {}
+      dram_(cfg.dram, cfg.l2.geom.line_bytes) {}
 
 void MemoryPartition::ScheduleReply(std::deque<PendingReply>& fifo,
                                     const IcntPacket& request,
@@ -59,7 +54,6 @@ void MemoryPartition::PushReplies(Cycle now, Crossbar& icnt) {
             : dram_replies_;
     icnt.InjectFromPartition(id_, fifo.front().pkt);
     ++requests_served;
-    m_served_->Add();
     fifo.pop_front();
   }
 }

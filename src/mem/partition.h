@@ -68,7 +68,6 @@ class MemoryPartition {
   std::deque<IcntPacket> retry_;         // requests stalled by the L2
   std::deque<DramChannel::Request> dram_backlog_;  // L2 misses / writes
   std::uint64_t fault_stall_cycles_ = 0;           // robust/: ticks to swallow
-  obs::Counter* m_served_ = nullptr;               // mem.requests_served
 };
 
 }  // namespace dlpsim

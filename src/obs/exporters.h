@@ -19,8 +19,8 @@
 // String handling: every string that reaches a JSON document here flows
 // through JsonWriter, which escapes quotes, backslashes and control
 // characters -- hostile app/config names (commas, quotes, newlines)
-// round-trip safely. The CSV exporters emit only numeric columns; any
-// future string CSV column must go through obs::CsvField (metrics.h).
+// round-trip safely. The CSV exporters emit only numeric columns; a
+// string column would need RFC-4180 quoting first.
 #pragma once
 
 #include <ostream>

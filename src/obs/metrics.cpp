@@ -19,103 +19,46 @@ const char* ToString(MetricKind kind) {
   return "?";
 }
 
-namespace detail {
-
-std::size_t ThisShard() {
-  // Monotone registration counter, wrapped onto the fixed shard set.
-  // Shard collisions (> kMetricShards live threads) only cost contention:
-  // the relaxed atomic adds stay correct and the merged sums unchanged.
-  static std::atomic<std::size_t> next{0};
-  thread_local const std::size_t shard =
-      next.fetch_add(1, std::memory_order_relaxed) % kMetricShards;
-  return shard;
-}
-
-}  // namespace detail
-
-// ---------------------------------------------------------------------------
-// Counter / Gauge
-// ---------------------------------------------------------------------------
-
-std::uint64_t Counter::Value() const {
-  std::uint64_t total = 0;
-  for (const detail::Slot& s : slots_) {
-    total += static_cast<std::uint64_t>(s.v.load(std::memory_order_relaxed));
-  }
-  return total;
-}
-
-void Counter::Reset() {
-  for (detail::Slot& s : slots_) s.v.store(0, std::memory_order_relaxed);
-}
-
-std::int64_t Gauge::Value() const {
-  std::int64_t total = 0;
-  for (const detail::Slot& s : slots_) {
-    total += s.v.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-void Gauge::Reset() {
-  for (detail::Slot& s : slots_) s.v.store(0, std::memory_order_relaxed);
-}
-
 // ---------------------------------------------------------------------------
 // Histogram
 // ---------------------------------------------------------------------------
 
 Histogram::Histogram(std::span<const std::uint64_t> bounds)
-    : bounds_(bounds.begin(), bounds.end()) {
+    : bounds_(bounds.begin(), bounds.end()), counts_(bounds_.size() + 1) {
   for (std::size_t i = 1; i < bounds_.size(); ++i) {
     if (bounds_[i] <= bounds_[i - 1]) {
       throw std::logic_error("histogram bounds must be strictly increasing");
     }
   }
-  // Per shard: bounds+1 buckets (last = overflow) plus one sum slot.
-  stride_ = bounds_.size() + 2;
-  slots_ = std::vector<detail::Slot>(kMetricShards * stride_);
 }
 
-void Histogram::Observe(std::uint64_t v) {
+void Histogram::Observe(std::uint64_t v, std::uint64_t count) {
   // First bound >= v wins (Prometheus "le" semantics); above the last
   // bound lands in the overflow bucket.
   const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
-  const std::size_t bucket = static_cast<std::size_t>(it - bounds_.begin());
-  const std::size_t base = detail::ThisShard() * stride_;
-  slots_[base + bucket].v.fetch_add(1, std::memory_order_relaxed);
-  slots_[base + stride_ - 1].v.fetch_add(static_cast<std::int64_t>(v),
-                                         std::memory_order_relaxed);
+  counts_[static_cast<std::size_t>(it - bounds_.begin())].fetch_add(
+      count, std::memory_order_relaxed);
+  sum_.fetch_add(v * count, std::memory_order_relaxed);
 }
 
 std::vector<std::uint64_t> Histogram::BucketCounts() const {
-  std::vector<std::uint64_t> counts(bounds_.size() + 1, 0);
-  for (std::size_t s = 0; s < kMetricShards; ++s) {
-    for (std::size_t b = 0; b < counts.size(); ++b) {
-      counts[b] += static_cast<std::uint64_t>(
-          slots_[s * stride_ + b].v.load(std::memory_order_relaxed));
-    }
+  std::vector<std::uint64_t> counts;
+  counts.reserve(counts_.size());
+  for (const auto& c : counts_) {
+    counts.push_back(c.load(std::memory_order_relaxed));
   }
   return counts;
 }
 
 std::uint64_t Histogram::Count() const {
   std::uint64_t n = 0;
-  for (const std::uint64_t c : BucketCounts()) n += c;
+  for (const auto& c : counts_) n += c.load(std::memory_order_relaxed);
   return n;
 }
 
-std::uint64_t Histogram::Sum() const {
-  std::uint64_t sum = 0;
-  for (std::size_t s = 0; s < kMetricShards; ++s) {
-    sum += static_cast<std::uint64_t>(
-        slots_[s * stride_ + stride_ - 1].v.load(std::memory_order_relaxed));
-  }
-  return sum;
-}
-
 void Histogram::Reset() {
-  for (detail::Slot& s : slots_) s.v.store(0, std::memory_order_relaxed);
+  for (auto& c : counts_) c.store(0, std::memory_order_relaxed);
+  sum_.store(0, std::memory_order_relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -292,18 +235,6 @@ std::string PrometheusLabelEscape(std::string_view s) {
   return out;
 }
 
-std::string CsvField(std::string_view s) {
-  const bool hostile = s.find_first_of(",\"\r\n") != std::string_view::npos;
-  if (!hostile) return std::string(s);
-  std::string out = "\"";
-  for (const char c : s) {
-    if (c == '"') out += '"';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
 void Registry::WriteText(std::ostream& os) const {
   for (const MetricSample& s : Snapshot()) {
     const std::string pname = PrometheusName(s.info.scope, s.info.name);
@@ -391,36 +322,6 @@ void Registry::WriteJson(std::ostream& os) const {
   w.EndArray();
   w.EndObject();
   os << '\n';
-}
-
-void Registry::WriteCsv(std::ostream& os) const {
-  os << "scope,name,kind,bucket,value\n";
-  for (const MetricSample& s : Snapshot()) {
-    const std::string prefix = CsvField(s.info.scope) + ',' +
-                               CsvField(s.info.name) + ',' +
-                               ToString(s.info.kind);
-    switch (s.info.kind) {
-      case MetricKind::kCounter:
-        os << prefix << ",," << s.counter << '\n';
-        break;
-      case MetricKind::kGauge:
-        os << prefix << ",," << s.gauge << '\n';
-        break;
-      case MetricKind::kHistogram:
-        for (std::size_t b = 0; b < s.bucket_counts.size(); ++b) {
-          os << prefix << ",le=";
-          if (b < s.bounds.size()) {
-            os << s.bounds[b];
-          } else {
-            os << "inf";
-          }
-          os << ',' << s.bucket_counts[b] << '\n';
-        }
-        os << prefix << ",sum," << s.sum << '\n';
-        os << prefix << ",count," << s.count << '\n';
-        break;
-    }
-  }
 }
 
 }  // namespace dlpsim::obs

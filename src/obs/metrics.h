@@ -2,42 +2,42 @@
 // with per-subsystem scopes ("cache", "icnt", "mem", "exec", ...).
 //
 // Instruments are registered once (GetCounter/GetGauge/GetHistogram are
-// get-or-create and return stable pointers) and updated lock-free on the
-// hot path: every instrument holds a fixed array of cache-line-padded
-// per-thread shards, each thread hashes to one shard via a thread-local
-// id, and updates are relaxed atomic adds. Because every merge operation
-// is commutative (sums of unsigned/two's-complement integers, per-bucket
-// sums for histograms), a Snapshot() -- which merges shards in shard-
-// index order and sorts instruments by (scope, name) -- is byte-identical
-// for any thread schedule that performs the same updates. That is the
-// property the exec determinism suite pins: a grid run at DLPSIM_JOBS=1
-// and DLPSIM_JOBS=8 must produce identical WriteText() dumps.
+// get-or-create and return stable pointers) and updated lock-free: each
+// counter and gauge is one relaxed atomic, each histogram one atomic per
+// bucket plus one for the sum. Every update commutes (integer sums,
+// per-bucket sums), so a Snapshot() -- which sorts instruments by
+// (scope, name) -- is byte-identical for any thread schedule that
+// performs the same updates. That is the property the exec determinism
+// suite pins: a grid run at DLPSIM_JOBS=1 and DLPSIM_JOBS=8 must produce
+// identical WriteText() dumps.
+//
+// Simulation components never touch the registry. They keep plain
+// counters, and GpuSimulator::Run publishes one run's totals into
+// Registry::Global() once, as it returns (GpuSimulator::PublishMetrics).
+// The instruments updated while work is in flight are the process-level
+// ones: exec's pool and grid counters and serve's request counters.
 //
 // Values are integers only (no float accumulation): floating-point adds
 // do not commute bit-exactly, so a double-valued counter would break the
 // byte-identity guarantee the registry exists to provide.
 //
-// Export formats (all deterministic, sorted by scope then name):
+// Export formats (both deterministic, sorted by scope then name):
 //   WriteText - Prometheus-style text exposition (# HELP/# TYPE lines,
-//               histogram _bucket{le=...}/_sum/_count series) for the
-//               future dlpsim_server /metrics endpoint.
+//               histogram _bucket{le=...}/_sum/_count series), served by
+//               dlpsim_server's metrics request.
 //   WriteJson - one self-describing JSON document.
-//   WriteCsv  - flat scope,name,kind,value rows (histograms one row per
-//               bucket), with RFC-4180 quoting for hostile names.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <ostream>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
-
-#include <mutex>
 
 namespace dlpsim::obs {
 
@@ -45,56 +45,30 @@ enum class MetricKind : std::uint8_t { kCounter, kGauge, kHistogram };
 
 const char* ToString(MetricKind kind);
 
-/// Number of per-thread shards per instrument. Threads beyond this many
-/// wrap onto existing shards; updates stay correct (relaxed atomic adds)
-/// and merged totals stay schedule-independent.
-inline constexpr std::size_t kMetricShards = 64;
-
-namespace detail {
-/// One cache-line-padded accumulator slot (avoids false sharing between
-/// worker threads updating the same instrument).
-struct alignas(64) Slot {
-  std::atomic<std::int64_t> v{0};
-};
-
-/// This thread's shard index in [0, kMetricShards).
-std::size_t ThisShard();
-}  // namespace detail
-
 /// Monotone event counter. Add() is lock-free and wait-free.
 class Counter {
  public:
-  void Add(std::uint64_t n = 1) {
-    slots_[detail::ThisShard()].v.fetch_add(static_cast<std::int64_t>(n),
-                                            std::memory_order_relaxed);
-  }
-
-  /// Merged total over all shards (shard-index order; sums commute).
-  std::uint64_t Value() const;
-
-  void Reset();
+  void Add(std::uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
+  std::uint64_t Value() const { return v_.load(std::memory_order_relaxed); }
+  void Reset() { v_.store(0, std::memory_order_relaxed); }
 
  private:
-  std::array<detail::Slot, kMetricShards> slots_;
+  std::atomic<std::uint64_t> v_{0};
 };
 
 /// Up/down instrument for occupancy-style values (queue depth, jobs in
-/// flight). The merged Value() is the net sum of all Add/Sub calls, so it
-/// is deterministic exactly at quiescent points (e.g. after a pool
-/// drained: every Add has been matched by its Sub on some shard).
+/// flight). Value() is the net sum of all Add/Sub calls, so it is
+/// deterministic exactly at quiescent points (e.g. after a pool drained:
+/// every Add has been matched by its Sub).
 class Gauge {
  public:
-  void Add(std::int64_t d = 1) {
-    slots_[detail::ThisShard()].v.fetch_add(d, std::memory_order_relaxed);
-  }
+  void Add(std::int64_t d = 1) { v_.fetch_add(d, std::memory_order_relaxed); }
   void Sub(std::int64_t d = 1) { Add(-d); }
-
-  std::int64_t Value() const;
-
-  void Reset();
+  std::int64_t Value() const { return v_.load(std::memory_order_relaxed); }
+  void Reset() { v_.store(0, std::memory_order_relaxed); }
 
  private:
-  std::array<detail::Slot, kMetricShards> slots_;
+  std::atomic<std::int64_t> v_{0};
 };
 
 /// Fixed-bucket histogram over unsigned integer observations. Bucket i
@@ -105,23 +79,22 @@ class Histogram {
  public:
   explicit Histogram(std::span<const std::uint64_t> bounds);
 
-  void Observe(std::uint64_t v);
+  /// Records `count` observations of value `v`.
+  void Observe(std::uint64_t v, std::uint64_t count = 1);
 
   const std::vector<std::uint64_t>& bounds() const { return bounds_; }
 
-  /// Merged per-bucket counts; size bounds().size() + 1, last = overflow.
+  /// Per-bucket counts; size bounds().size() + 1, last = overflow.
   std::vector<std::uint64_t> BucketCounts() const;
   std::uint64_t Count() const;  // total observations
-  std::uint64_t Sum() const;    // sum of observed values
+  std::uint64_t Sum() const { return sum_.load(std::memory_order_relaxed); }
 
   void Reset();
 
  private:
   std::vector<std::uint64_t> bounds_;
-  // Shard-major layout: shard s, bucket b at [s * (buckets + 1) + b];
-  // the extra slot per shard is the observed-value sum.
-  std::vector<detail::Slot> slots_;
-  std::size_t stride_ = 0;
+  std::vector<std::atomic<std::uint64_t>> counts_;  // bounds + overflow
+  std::atomic<std::uint64_t> sum_{0};               // sum of observed values
 };
 
 /// Identity + metadata of one registered instrument.
@@ -132,7 +105,7 @@ struct MetricInfo {
   MetricKind kind = MetricKind::kCounter;
 };
 
-/// One merged instrument value at Snapshot() time.
+/// One instrument's value at Snapshot() time.
 struct MetricSample {
   MetricInfo info;
   std::uint64_t counter = 0;                // kCounter
@@ -161,7 +134,7 @@ class Registry {
                           std::span<const std::uint64_t> bounds,
                           std::string_view help = "");
 
-  /// Merged values of every instrument, sorted by (scope, name).
+  /// Values of every instrument, sorted by (scope, name).
   std::vector<MetricSample> Snapshot() const;
 
   /// Zeroes every instrument's accumulators; registrations (and handed-
@@ -172,7 +145,6 @@ class Registry {
 
   void WriteText(std::ostream& os) const;  // Prometheus exposition
   void WriteJson(std::ostream& os) const;
-  void WriteCsv(std::ostream& os) const;
 
   /// The process-wide registry the simulator subsystems register into.
   static Registry& Global();
@@ -200,9 +172,5 @@ std::string PrometheusName(std::string_view scope, std::string_view name);
 
 /// Escapes a Prometheus label value (backslash, double quote, newline).
 std::string PrometheusLabelEscape(std::string_view s);
-
-/// RFC-4180 CSV field: quoted (with doubled quotes) when the value
-/// contains a comma, quote, CR or LF; verbatim otherwise.
-std::string CsvField(std::string_view s);
 
 }  // namespace dlpsim::obs

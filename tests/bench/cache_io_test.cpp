@@ -3,6 +3,7 @@
 // leaving an entry the server can serve. The store's own write
 // discipline (temp file, footer, rename) is tested in tests/serve/.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdlib>
 #include <filesystem>
@@ -32,10 +33,15 @@ RunResult SampleResult() {
   return r;
 }
 
+// ctest runs every case as its own process, possibly in parallel, so
+// each case owns a directory named after the test and its pid.
 class CacheIoTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::path(::testing::TempDir()) / "dlpsim_cache_io";
+    const std::string test =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    dir_ = fs::path(::testing::TempDir()) /
+           ("dlpsim_cache_io_" + test + "_" + std::to_string(::getpid()));
     fs::remove_all(dir_);
     fs::create_directories(dir_);
   }

@@ -2,11 +2,11 @@
 //
 //  1. A metrics dump produced by the same simulation grid must be
 //     byte-identical at DLPSIM_JOBS=1 and DLPSIM_JOBS=8 (the registry's
-//     core guarantee: integer-only values, commutative shard merges,
-//     sorted exposition, jobs_dispatched counted in ParallelMap).
+//     core guarantee: integer-only values, commutative adds, sorted
+//     exposition, jobs_dispatched counted in ParallelMap).
 //  2. The registry's subsystem counters must reconcile exactly with the
-//     Metrics block the simulator returns for the same run -- the two
-//     accounting systems watch the same events and may never drift.
+//     Metrics block the simulator returns for the same run: every
+//     GpuSimulator::Run publishes its component counters once.
 #include <gtest/gtest.h>
 
 #include <sstream>

@@ -5,8 +5,11 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "analysis/per_sm_profiler.h"
+#include "obs/metrics.h"
 #include "workloads/registry.h"
 
 namespace dlpsim {
@@ -189,6 +192,73 @@ TEST(GpuSimulator, PerSmProfilerSeesEveryCore) {
   // Compulsory + reuse accesses partition all accesses.
   EXPECT_EQ(prof.compulsory_accesses() + prof.reuse_accesses(),
             m.l1d_accesses);
+}
+
+TEST(GpuSimulator, PublishMetricsMatchesComponentCounters) {
+  // MM is a CI app whose DLP run already credits VTA hits at this scale.
+  const Workload wl = MakeWorkload("MM", 0.02);
+  for (const PolicyKind policy : {PolicyKind::kBaseline, PolicyKind::kDlp}) {
+    SCOPED_TRACE(ToString(policy));
+    const SimConfig cfg = policy == PolicyKind::kBaseline
+                              ? SimConfig::Baseline16KB()
+                              : SimConfig::WithPolicy(policy);
+    GpuSimulator gpu(cfg, wl.program.get(), wl.warps_per_sm);
+    const Metrics m = gpu.Run();
+    ASSERT_EQ(m.completed, 1u);
+
+    obs::Registry reg;
+    gpu.PublishMetrics(reg);
+    const std::vector<obs::MetricSample> snap = reg.Snapshot();
+    const auto find = [&snap](std::string_view scope, std::string_view name)
+        -> const obs::MetricSample* {
+      for (const obs::MetricSample& s : snap) {
+        if (s.info.scope == scope && s.info.name == name) return &s;
+      }
+      return nullptr;
+    };
+    const auto counter = [&find](std::string_view scope,
+                                 std::string_view name) {
+      const obs::MetricSample* s = find(scope, name);
+      EXPECT_NE(s, nullptr) << scope << '.' << name;
+      return s == nullptr ? ~std::uint64_t{0} : s->counter;
+    };
+
+    ASSERT_GT(m.l1d_accesses, 0u);
+    EXPECT_EQ(counter("cache", "accesses"), m.l1d_accesses);
+    EXPECT_EQ(counter("cache", "fills"), m.l1d_fills);
+    EXPECT_EQ(counter("mem", "dram_reads"), m.dram_reads);
+    EXPECT_EQ(counter("mem", "dram_writes"), m.dram_writes);
+    std::uint64_t served = 0;
+    for (const MemoryPartition& p : gpu.partitions()) {
+      served += p.requests_served;
+    }
+    EXPECT_EQ(counter("mem", "requests_served"), served);
+    EXPECT_EQ(counter("icnt", "packets_delivered"),
+              gpu.icnt().packets_delivered);
+    // One occupancy observation per issued miss.
+    const obs::MetricSample* occupancy = find("cache", "mshr_occupancy");
+    ASSERT_NE(occupancy, nullptr);
+    EXPECT_EQ(occupancy->count, m.l1d_misses_issued);
+
+    if (policy == PolicyKind::kBaseline) {
+      EXPECT_EQ(find("cache", "pl_decrements"), nullptr);
+      EXPECT_EQ(find("cache", "pd_recomputes"), nullptr);
+      EXPECT_EQ(find("cache", "vta_hits"), nullptr);
+    } else {
+      EXPECT_EQ(counter("cache", "pd_recomputes"),
+                gpu.SnapshotPolicy().samples_taken);
+      EXPECT_GT(counter("cache", "pd_recomputes"), 0u);
+      std::uint64_t pl_decrements = 0;
+      std::uint64_t vta_hits = 0;
+      for (const SmCore& core : gpu.cores()) {
+        pl_decrements += core.l1d().policy().pl_decrements;
+        vta_hits += core.l1d().policy().vta_hits;
+      }
+      EXPECT_EQ(counter("cache", "pl_decrements"), pl_decrements);
+      EXPECT_EQ(counter("cache", "vta_hits"), vta_hits);
+      EXPECT_GT(vta_hits, 0u);
+    }
+  }
 }
 
 TEST(GpuSimulator, LrrSchedulerAlsoCompletes) {

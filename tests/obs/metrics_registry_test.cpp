@@ -1,6 +1,6 @@
 // Unit tests for the typed metrics registry (obs/metrics.h): instrument
 // semantics (counter/gauge/histogram), get-or-create identity, kind and
-// bounds mismatch detection, shard-merge correctness under threads, and
+// bounds mismatch detection, exact totals under concurrent updates, and
 // hostile-name escaping in every export format.
 #include "obs/metrics.h"
 
@@ -75,6 +75,49 @@ TEST(Histogram, BucketBoundariesUseLeSemantics) {
   EXPECT_EQ(counts[3], 2u);
   EXPECT_EQ(h->Count(), 6u);
   EXPECT_EQ(h->Sum(), 0u + 1 + 2 + 4 + 5 + (1u << 30));
+}
+
+TEST(Histogram, CountedObserveEqualsRepeatedObserves) {
+  Registry reg;
+  const std::uint64_t bounds[] = {0, 1, 4};
+  Histogram* counted = reg.GetHistogram("test", "counted", bounds);
+  Histogram* repeated = reg.GetHistogram("test", "repeated", bounds);
+  for (const std::uint64_t v : {0u, 3u, 9u}) {
+    counted->Observe(v, 5);
+    for (int i = 0; i < 5; ++i) repeated->Observe(v);
+  }
+  counted->Observe(2, 0);  // zero observations change nothing
+  EXPECT_EQ(counted->BucketCounts(), repeated->BucketCounts());
+  EXPECT_EQ(counted->Count(), 15u);
+  EXPECT_EQ(counted->Sum(), repeated->Sum());
+  EXPECT_EQ(counted->Sum(), 5u * (0 + 3 + 9));
+}
+
+TEST(Histogram, ThreadedObservesMergeExactly) {
+  Registry reg;
+  const std::uint64_t bounds[] = {0, 1, 4, 16};
+  Histogram* h = reg.GetHistogram("test", "threaded", bounds);
+  // One value each for le=0 and le=1, two each for le=4, le=16 and +Inf.
+  const std::vector<std::uint64_t> values = {0, 1, 2, 4, 5, 16, 17, 1000};
+  constexpr int kThreads = 8;
+  constexpr int kRoundsPerThread = 5000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([h, &values] {
+      for (int i = 0; i < kRoundsPerThread; ++i) {
+        for (const std::uint64_t v : values) h->Observe(v);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  const std::uint64_t rounds =
+      static_cast<std::uint64_t>(kThreads) * kRoundsPerThread;
+  const std::vector<std::uint64_t> expected = {rounds, rounds, 2 * rounds,
+                                               2 * rounds, 2 * rounds};
+  EXPECT_EQ(h->BucketCounts(), expected);
+  EXPECT_EQ(h->Count(), rounds * values.size());
+  EXPECT_EQ(h->Sum(), rounds * (0 + 1 + 2 + 4 + 5 + 16 + 17 + 1000));
 }
 
 TEST(Histogram, RejectsNonIncreasingBounds) {
@@ -169,13 +212,6 @@ TEST(Exposition, PrometheusLabelEscapes) {
   EXPECT_EQ(PrometheusLabelEscape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
 }
 
-TEST(Exposition, CsvFieldQuotesHostileValues) {
-  EXPECT_EQ(CsvField("plain"), "plain");
-  EXPECT_EQ(CsvField("a,b"), "\"a,b\"");
-  EXPECT_EQ(CsvField("say \"hi\""), "\"say \"\"hi\"\"\"");
-  EXPECT_EQ(CsvField("line\nbreak"), "\"line\nbreak\"");
-}
-
 TEST(Exposition, WriteTextEmitsHelpTypeAndHistogramSeries) {
   Registry reg;
   Counter* c = reg.GetCounter("cache", "hits", "L1D load hits");
@@ -232,13 +268,6 @@ TEST(Exposition, HostileNamesSurviveEveryFormat) {
   EXPECT_EQ(metrics->array[0].Find("scope")->string, scope);
   EXPECT_EQ(metrics->array[0].Find("name")->string, name);
   EXPECT_EQ(metrics->array[0].U64("value"), 1u);
-
-  // CSV: hostile fields quoted, so the row still has exactly 5 columns
-  // when parsed with an RFC-4180 reader (spot-check the quoting).
-  std::ostringstream csv;
-  reg.WriteCsv(csv);
-  EXPECT_NE(csv.str().find("\"name,with\n\"\"hostility\"\"\""),
-            std::string::npos);
 }
 
 TEST(Exposition, WriteJsonParsesAndCarriesHistograms) {
