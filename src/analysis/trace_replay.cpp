@@ -45,22 +45,10 @@ ReplayResult TraceReplayer::Replay(trace::TraceSource& source) {
 
   result.cycles = now;
   // Report the delta over this replay so sequential replays are additive.
-  const CacheStats after = cache_.stats();
-  result.cache = after;
-  result.cache.accesses -= before.accesses;
-  result.cache.loads -= before.loads;
-  result.cache.stores -= before.stores;
-  result.cache.load_hits -= before.load_hits;
-  result.cache.load_misses -= before.load_misses;
-  result.cache.store_hits -= before.store_hits;
-  result.cache.mshr_merges -= before.mshr_merges;
-  result.cache.misses_issued -= before.misses_issued;
-  result.cache.bypasses -= before.bypasses;
-  result.cache.reservation_fails -= before.reservation_fails;
-  result.cache.evictions -= before.evictions;
-  result.cache.writebacks -= before.writebacks;
-  result.cache.fills -= before.fills;
-  result.cache.store_invalidates -= before.store_invalidates;
+  result.cache = cache_.stats();
+  for (const CacheStatsField& f : CacheStatsFields()) {
+    result.cache.*(f.member) -= before.*(f.member);
+  }
   return result;
 }
 

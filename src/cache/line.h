@@ -26,7 +26,6 @@ struct CacheLine {
   Addr block = 0;            // line-aligned address / line_bytes
   LineState state = LineState::kInvalid;
   std::uint64_t last_use = 0;  // LRU timestamp (monotone access counter)
-  std::uint64_t alloc_time = 0;
 
   // --- DLP extension fields (paper §4.1.1) ---
   // Hashed PC (7 bits) of the instruction that brought the line in or hit

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 namespace dlpsim {
 
@@ -31,5 +32,34 @@ struct CacheStats {
     return total == 0 ? 0.0 : static_cast<double>(load_hits) / total;
   }
 };
+
+/// Name + member-pointer pair for one CacheStats counter, like
+/// MetricsField: code that handles every counter loops over the table, so
+/// a counter added later cannot be missed.
+struct CacheStatsField {
+  const char* name;
+  std::uint64_t CacheStats::* member;
+};
+
+/// Every counter field of CacheStats, in declaration order.
+inline std::span<const CacheStatsField> CacheStatsFields() {
+  static constexpr CacheStatsField kFields[] = {
+      {"accesses", &CacheStats::accesses},
+      {"loads", &CacheStats::loads},
+      {"stores", &CacheStats::stores},
+      {"load_hits", &CacheStats::load_hits},
+      {"load_misses", &CacheStats::load_misses},
+      {"store_hits", &CacheStats::store_hits},
+      {"mshr_merges", &CacheStats::mshr_merges},
+      {"misses_issued", &CacheStats::misses_issued},
+      {"bypasses", &CacheStats::bypasses},
+      {"reservation_fails", &CacheStats::reservation_fails},
+      {"evictions", &CacheStats::evictions},
+      {"writebacks", &CacheStats::writebacks},
+      {"fills", &CacheStats::fills},
+      {"store_invalidates", &CacheStats::store_invalidates},
+  };
+  return kFields;
+}
 
 }  // namespace dlpsim

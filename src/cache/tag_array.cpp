@@ -44,14 +44,9 @@ CacheLine TagArray::Reserve(std::uint32_t set, std::uint32_t way, Addr block,
                             Pc pc) {
   CacheLine& line = At(set, way);
   CacheLine previous = line;
-  if (pl_ != nullptr) {
-    if (IsOccupied(previous.state)) pl_->Remove(previous.protected_life);
-    pl_->Add(0);  // the RESERVED line starts unprotected
-  }
   line.block = block;
   line.state = LineState::kReserved;
   line.last_use = ++use_clock_;
-  line.alloc_time = use_clock_;
   line.src_pc = pc;
   line.insn_id = 0;
   // Lifecycle reset on (re)allocation, not the Fig. 9 update flow: a
@@ -73,9 +68,6 @@ bool TagArray::Fill(std::uint32_t set, Addr block) {
 CacheLine TagArray::Invalidate(std::uint32_t set, std::uint32_t way) {
   CacheLine& line = At(set, way);
   CacheLine previous = line;
-  if (pl_ != nullptr && IsOccupied(previous.state)) {
-    pl_->Remove(previous.protected_life);
-  }
   line = CacheLine{};
   return previous;
 }

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "cache/line.h"
-#include "cache/pl_counters.h"
 #include "sim/config.h"
 #include "sim/types.h"
 
@@ -71,19 +70,12 @@ class TagArray {
 
   const CacheGeometry& geom() const { return geom_; }
 
-  /// Attaches (or detaches, with nullptr) the incremental protected-line
-  /// counters: Reserve/Invalidate report occupancy transitions there.
-  /// The L1D shares the same counters with its protection policy, which
-  /// reports PL mutations (decay and re-stamping).
-  void SetPlCounters(PlCounters* counters) { pl_ = counters; }
-
  private:
   CacheGeometry geom_;
   std::uint32_t set_mask_;
   std::uint32_t set_bits_;
   std::vector<CacheLine> lines_;  // sets * ways, row-major by set
   std::uint64_t use_clock_ = 0;   // monotone LRU timestamp source
-  PlCounters* pl_ = nullptr;      // optional (unused by the L2 slices)
 };
 
 }  // namespace dlpsim

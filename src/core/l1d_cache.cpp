@@ -30,10 +30,7 @@ L1DCache::L1DCache(const L1DConfig& cfg)
       tda_(cfg.geom),
       mshr_(cfg.mshr_entries, cfg.mshr_max_merged),
       policy_(MakePolicy(cfg)),
-      mshr_occupancy_(cfg.mshr_entries + std::size_t{1}, 0) {
-  tda_.SetPlCounters(&pl_counters_);
-  policy_->SetPlCounters(&pl_counters_);
-}
+      mshr_occupancy_(cfg.mshr_entries + std::size_t{1}, 0) {}
 
 void L1DCache::CommitQuery(const MemAccess& access, std::uint32_t set,
                            Addr block, bool hit, Cycle now) {
@@ -108,7 +105,6 @@ void L1DCache::InjectProtectedLifeFlip(std::uint32_t set, std::uint32_t way,
   std::uint32_t corrupted = (line.protected_life ^ bit) & pd_max;
   if (corrupted == line.protected_life) corrupted = line.protected_life ^ 1u;
   corrupted &= pd_max;
-  pl_counters_.Move(line.protected_life, corrupted);
   line.protected_life = corrupted;
 }
 
@@ -301,9 +297,7 @@ void L1DCache::Fill(const L1DResponse& response, Cycle now,
 }
 
 void L1DCache::Reset() {
-  pl_counters_.Clear();
   tda_ = TagArray(cfg_.geom);
-  tda_.SetPlCounters(&pl_counters_);
   mshr_ = MshrTable(cfg_.mshr_entries, cfg_.mshr_max_merged);
   policy_->Reset();
   outgoing_.clear();

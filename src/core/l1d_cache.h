@@ -18,7 +18,6 @@
 
 #include "cache/mshr.h"
 #include "cache/observer.h"
-#include "cache/pl_counters.h"
 #include "cache/stats.h"
 #include "cache/tag_array.h"
 #include "core/policies.h"
@@ -103,20 +102,12 @@ class L1DCache {
   const L1DConfig& config() const { return cfg_; }
   std::uint32_t line_bytes() const { return cfg_.geom.line_bytes; }
 
-  /// Incrementally maintained occupied-lines-by-protected-life histogram
-  /// (kept in lockstep with the TDA by the tag array and the policy);
-  /// lets PolicySnapshot avoid walking every set per timeline sample.
-  const PlCounters& pl_counters() const { return pl_counters_; }
-
   /// Mutable policy access for the fault injector (robust/) only.
   ProtectionPolicy& mutable_policy() { return *policy_; }
   /// Mutable tag-array access for white-box tests (e.g. planting the
   /// corruptions the robust/ invariant checker must catch). Never used
   /// on the simulation path.
   TagArray& mutable_tda() { return tda_; }
-  /// Mutable histogram access for white-box tests that plant PL values
-  /// through mutable_tda() and must keep the counters in lockstep.
-  PlCounters& mutable_pl_counters() { return pl_counters_; }
   std::size_t outgoing_size() const { return outgoing_.size(); }
 
   // --- fault-injection hooks (robust/FaultInjector; never called on the
@@ -124,8 +115,7 @@ class L1DCache {
 
   /// Corrupts the protected-life field of (set, way) by XOR-ing `bit`
   /// into it (clamped to the policy's 4-bit field). No-op on unoccupied
-  /// lines: PL only exists on occupied lines, and the PlCounters
-  /// histogram is kept consistent through Move().
+  /// lines: PL only exists on occupied lines.
   void InjectProtectedLifeFlip(std::uint32_t set, std::uint32_t way,
                                std::uint32_t bit);
 
@@ -174,7 +164,6 @@ class L1DCache {
   void EvictFor(std::uint32_t set, std::uint32_t way, Addr new_block, Pc pc);
 
   L1DConfig cfg_;
-  PlCounters pl_counters_;
   TagArray tda_;
   MshrTable mshr_;
   std::unique_ptr<ProtectionPolicy> policy_;

@@ -72,16 +72,11 @@ ProtectedLifePolicy::ProtectedLifePolicy(const L1DConfig& cfg,
       window_(cfg.prot) {}
 
 void ProtectedLifePolicy::OnSetQuery(std::span<CacheLine> set) {
-  // Lines with PL > 0 are always occupied (Reserve and Invalidate both
-  // zero the field), so the counter move needs no occupancy check.
   std::uint32_t decrements = 0;
   for (CacheLine& line : set) {
     if (line.protected_life > 0) {
       --line.protected_life;
       ++decrements;
-      if (pl_counters_ != nullptr) {
-        pl_counters_->Move(line.protected_life + 1, line.protected_life);
-      }
     }
   }
   pl_decrements += decrements;
@@ -89,13 +84,8 @@ void ProtectedLifePolicy::OnSetQuery(std::span<CacheLine> set) {
 
 void ProtectedLifePolicy::StampOwnership(CacheLine& line, Pc pc) {
   const std::uint32_t id = pdpt_.IndexOf(pc);
-  const std::uint32_t old_pl = line.protected_life;
   line.insn_id = id;
   line.protected_life = pdpt_.Pd(id);
-  if (pl_counters_ != nullptr) {
-    // Stamped lines are occupied (filled on a hit, RESERVED otherwise).
-    pl_counters_->Move(old_pl, line.protected_life);
-  }
   if (trace_ != nullptr && line.protected_life == pdpt_.pd_max()) {
     trace_->Emit({.arg0 = id,
                   .block = line.block,

@@ -19,7 +19,6 @@
 #include <span>
 
 #include "cache/line.h"
-#include "cache/pl_counters.h"
 #include "cache/tag_array.h"
 #include "core/pdpt.h"
 #include "core/vta.h"
@@ -99,12 +98,6 @@ class ProtectionPolicy {
     trace_sm_ = sm;
   }
 
-  /// Attaches (or detaches, with nullptr) the owning cache's incremental
-  /// protected-line counters; the policy reports every PL mutation
-  /// (set-query decay, ownership re-stamping) so snapshots never need a
-  /// full tag walk.
-  void SetPlCounters(PlCounters* counters) { pl_counters_ = counters; }
-
   // Introspection for tests, benches and reports (null/0 when N/A).
   virtual const PdpTable* pdpt() const { return nullptr; }
   virtual const VictimTagArray* vta() const { return nullptr; }
@@ -124,7 +117,6 @@ class ProtectionPolicy {
  protected:
   TraceSink* trace_ = nullptr;
   std::uint16_t trace_sm_ = 0;
-  PlCounters* pl_counters_ = nullptr;
 };
 
 /// Factory keyed by L1DConfig::policy.

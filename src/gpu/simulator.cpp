@@ -1,5 +1,6 @@
 #include "gpu/simulator.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -88,13 +89,17 @@ PolicySnapshot GpuSimulator::SnapshotPolicy() const {
       snap.samples_taken += pdpt->samples_taken;
       ++cores_with_pdpt;
     }
-    // Incrementally maintained per-L1D counters replace the former
-    // 32-set x 4-way tag walk per core per timeline sample.
-    const PlCounters& pl = l1d.pl_counters();
-    for (std::size_t b = 0; b < snap.pl_histogram.size(); ++b) {
-      snap.pl_histogram[b] += pl.histogram[b];
+    // One tag walk per L1D. The last bucket also takes any PL wider than
+    // the 4-bit field, which only a test can plant.
+    const TagArray& tda = l1d.tda();
+    for (std::uint32_t set = 0; set < tda.geom().sets; ++set) {
+      for (const CacheLine& line : tda.SetView(set)) {
+        if (!IsOccupied(line.state)) continue;
+        ++snap.pl_histogram[std::min<std::size_t>(
+            line.protected_life, snap.pl_histogram.size() - 1)];
+        if (line.protected_life > 0) ++snap.protected_lines;
+      }
     }
-    snap.protected_lines += pl.protected_lines();
   }
   if (cores_with_pdpt > 0) snap.mean_pd /= cores_with_pdpt;
   return snap;

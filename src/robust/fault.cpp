@@ -1,10 +1,10 @@
 #include "robust/fault.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "gpu/simulator.h"
 #include "obs/json.h"
+#include "sim/parse.h"
 #include "sim/rng.h"
 
 namespace dlpsim::robust {
@@ -64,15 +64,6 @@ FaultPlan FaultPlan::Random(std::uint64_t seed, std::uint32_t count,
 }
 
 namespace {
-
-bool ParseU64(const std::string& s, std::uint64_t* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') return false;
-  *out = v;
-  return true;
-}
 
 bool ParseKinds(const std::string& s, std::uint32_t* mask,
                 std::string* error) {

@@ -1,7 +1,5 @@
 #include "robust/invariants.h"
 
-#include <algorithm>
-#include <array>
 #include <sstream>
 #include <unordered_set>
 
@@ -24,28 +22,6 @@ std::string CheckPlClamp(const L1DCache& l1d) {
            << line.protected_life << " > pd_max " << pd_max;
         return os.str();
       }
-    }
-  }
-  return "";
-}
-
-std::string CheckPlCounters(const L1DCache& l1d) {
-  std::array<std::uint64_t, 16> walk{};
-  const TagArray& tda = l1d.tda();
-  for (std::uint32_t set = 0; set < tda.geom().sets; ++set) {
-    for (const CacheLine& line : tda.SetView(set)) {
-      if (IsOccupied(line.state)) {
-        ++walk[PlCounters::Bucket(line.protected_life)];
-      }
-    }
-  }
-  const PlCounters& pl = l1d.pl_counters();
-  for (std::size_t b = 0; b < walk.size(); ++b) {
-    if (walk[b] != pl.histogram[b]) {
-      std::ostringstream os;
-      os << "PlCounters bucket " << b << " holds " << pl.histogram[b]
-         << " but a tag walk finds " << walk[b] << " occupied lines";
-      return os.str();
     }
   }
   return "";
@@ -152,7 +128,6 @@ std::string CheckL1D(const L1DCache& l1d) {
   };
   static constexpr Named kChecks[] = {
       {"pl_clamp", CheckPlClamp},
-      {"pl_counters", CheckPlCounters},
       {"mshr_consistency", CheckMshrConsistency},
       {"lru_validity", CheckLruValidity},
       {"pdpt_bounds", CheckPdpt},

@@ -1,11 +1,11 @@
 // Opt-in structural invariant checker for the L1D and its DLP side
 // structures.
 //
-// The protection machinery maintains several redundant encodings of the
-// same state (PL fields vs the incremental PlCounters histogram, RESERVED
-// lines vs MSHR entries, saturating PDPT counters vs their bit widths);
-// a bug in any maintenance path corrupts replacement decisions silently.
-// The checker re-derives each encoding by brute force and compares.
+// The protection machinery keeps state that must fit its hardware fields
+// or agree with a second structure (PL fields vs their 4-bit width,
+// RESERVED lines vs MSHR entries, saturating PDPT counters vs their bit
+// widths); a bug in any maintenance path corrupts replacement decisions
+// silently. The checker re-derives each property by brute force.
 //
 // Enabled either per-process (DLPSIM_CHECK=1) or for a whole build
 // (-DDLPSIM_CHECKED=ON, which the CI Debug job uses); DLPSIM_CHECK=0
@@ -54,8 +54,6 @@ class InvariantError : public std::runtime_error {
 ///
 /// Every cached line's PL fits the 4-bit field (<= prot.pd_max()).
 std::string CheckPlClamp(const L1DCache& l1d);
-/// The incremental PlCounters histogram equals a brute-force tag walk.
-std::string CheckPlCounters(const L1DCache& l1d);
 /// RESERVED lines and MSHR entries are in bijection.
 std::string CheckMshrConsistency(const L1DCache& l1d);
 /// Per set: occupied lines have distinct blocks and distinct LRU stamps.

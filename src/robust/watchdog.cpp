@@ -43,17 +43,18 @@ StallDiagnostic Diagnose(const GpuSimulator& gpu, Cycle now,
     s.mshr_entries = l1d.mshr().size();
     s.mshr_capacity = l1d.mshr().capacity();
     s.outgoing = l1d.outgoing_size();
-    s.protected_lines = l1d.pl_counters().protected_lines();
     s.reservation_fails = l1d.stats().reservation_fails;
     const TagArray& tda = l1d.tda();
     for (std::uint32_t set = 0; set < tda.geom().sets; ++set) {
+      // No early exit: every way counts towards protected_lines.
       bool evictable = false;
       for (const CacheLine& line : tda.SetView(set)) {
-        if (line.state == LineState::kReserved) continue;
-        if (line.state == LineState::kInvalid ||
-            line.protected_life == 0) {
+        if (line.state == LineState::kInvalid) {
           evictable = true;
-          break;
+        } else if (line.protected_life > 0) {
+          ++s.protected_lines;
+        } else if (line.state != LineState::kReserved) {
+          evictable = true;
         }
       }
       if (!evictable) ++s.fully_protected_sets;

@@ -42,7 +42,7 @@ struct StallDiagnostic {
     std::uint64_t mshr_capacity = 0;
     std::uint64_t outgoing = 0;            // L1D miss-queue occupancy
     std::uint32_t fully_protected_sets = 0;  // no evictable victim
-    std::uint64_t protected_lines = 0;       // PL > 0 (per-SM PL counters)
+    std::uint64_t protected_lines = 0;       // occupied lines with PL > 0
     std::uint64_t reservation_fails = 0;
   };
 

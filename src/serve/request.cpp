@@ -4,6 +4,8 @@
 #include <cstdlib>
 #include <sstream>
 
+#include "sim/parse.h"
+
 namespace dlpsim::serve {
 
 namespace {
@@ -20,16 +22,6 @@ bool SplitField(const std::string& line, std::string* key,
   }
   *key = line.substr(0, sp);
   *value = line.substr(sp + 1);
-  return true;
-}
-
-bool ParseU64(const std::string& s, std::uint64_t* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (errno != 0 || end == nullptr || *end != '\0') return false;
-  *out = static_cast<std::uint64_t>(v);
   return true;
 }
 

@@ -90,7 +90,8 @@ std::vector<ConfigIssue> L1DConfig::Validate() const {
   Require(hit_latency > 0, "l1d.hit_latency", "must be nonzero", issues);
   // Protection tables: PD/PL live in pd_bits-wide fields that the policy
   // clamps to pd_max(); 0 bits means "no protection at all" and > 4 bits
-  // overflows the 16-bucket PlCounters histogram assumed by SnapshotPolicy.
+  // overflows both the 4-bit PL field of a cache line and the 16 buckets
+  // of PolicySnapshot::pl_histogram.
   Require(prot.pd_bits >= 1 && prot.pd_bits <= 4, "l1d.prot.pd_bits",
           "must be in [1, 4] (got " + std::to_string(prot.pd_bits) + ")",
           issues);

@@ -2,6 +2,8 @@
 
 #include <cstdlib>
 
+#include "sim/parse.h"
+
 namespace dlpsim::env {
 
 const char* Raw(const char* name) { return std::getenv(name); }
@@ -19,10 +21,10 @@ std::string Str(const char* name, const char* fallback) {
 }
 
 std::uint64_t U64(const char* name, std::uint64_t fallback) {
-  if (const char* v = Raw(name)) {
-    char* end = nullptr;
-    const unsigned long long parsed = std::strtoull(v, &end, 10);
-    if (end != v && parsed > 0) return static_cast<std::uint64_t>(parsed);
+  std::uint64_t parsed = 0;
+  if (const char* v = Raw(name); v != nullptr && ParseU64(v, &parsed) &&
+                                 parsed > 0) {
+    return parsed;
   }
   return fallback;
 }

@@ -8,10 +8,10 @@
 // EXPERIMENTS.md: a knob that cannot be discovered without reading the
 // source silently forks experiment behaviour between machines.
 //
-// The helpers deliberately keep the historical parse semantics of the
-// call sites they replaced (positive-only numbers fall back, presence
-// vs. truthiness are distinct), so routing a knob through this layer is
-// always behaviour-preserving.
+// Presence and truthiness are distinct (IsSet vs. Flag), and a number
+// that is not positive falls back to the call site's default. Integers
+// parse strictly (sim/parse.h), so "-1" or "12abc" falls back rather
+// than wrapping or truncating.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +35,8 @@ bool Flag(const char* name);
 /// String value, or `fallback` when unset.
 std::string Str(const char* name, const char* fallback);
 
-/// Positive integer value; unset, unparsable or zero returns `fallback`.
+/// Positive decimal integer value; unset, unparsable (a sign, whitespace,
+/// a trailing byte, overflow) or zero returns `fallback`.
 std::uint64_t U64(const char* name, std::uint64_t fallback);
 
 /// Positive double value; unset, unparsable or <= 0 returns `fallback`.

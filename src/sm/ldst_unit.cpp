@@ -14,7 +14,6 @@ WarpMemOp& LdStUnit::NextSlot() {
 void LdStUnit::Commit() {
   assert(CanAccept());
   assert(!slots_[Wrap(head_ + size_)].lines.empty());
-  ++mem_ops;
   ++size_;
 }
 
@@ -34,12 +33,10 @@ void LdStUnit::Tick(Cycle now, std::vector<Warp>& warps) {
         return;  // head-of-line blocking: retry next cycle
       case AccessResult::kHit:
       case AccessResult::kStoreSent:
-        ++transactions;
         break;
       case AccessResult::kMissIssued:
       case AccessResult::kMissMerged:
       case AccessResult::kBypassed:
-        ++transactions;
         if (op.type == AccessType::kLoad) warp.AddOutstanding(1);
         break;
     }

@@ -51,8 +51,6 @@ class LdStUnit {
 
   // --- statistics ---
   std::uint64_t stall_cycles = 0;       // cycles blocked on reservation fail
-  std::uint64_t transactions = 0;       // L1D transactions dispatched
-  std::uint64_t mem_ops = 0;            // warp-level memory instructions
 
  private:
   std::size_t Wrap(std::size_t i) const {

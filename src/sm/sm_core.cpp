@@ -50,10 +50,7 @@ void SmCore::IssueFrom(WarpScheduler& sched, Cycle now) {
   const Instruction& insn = warp.Current();
 
   if (insn.op == OpClass::kLoad || insn.op == OpClass::kStore) {
-    if (!ldst_.CanAccept()) {
-      ++mem_blocked_issues;
-      return;  // structural hazard; try again next cycle
-    }
+    if (!ldst_.CanAccept()) return;  // structural hazard; retry next cycle
     WarpMemOp& op = ldst_.NextSlot();
     op.warp_index = w;
     op.pc = insn.pc;
@@ -123,13 +120,7 @@ void SmCore::TickCore(Cycle now, Crossbar& icnt) {
   ldst_.Tick(now, warps_);
 
   const std::uint64_t committed_before = committed_thread_insns;
-  bool any_issued = false;
-  for (WarpScheduler& sched : schedulers_) {
-    const std::uint64_t before = issued_warp_insns;
-    IssueFrom(sched, now);
-    any_issued |= issued_warp_insns != before;
-  }
-  if (!any_issued && !Finished()) ++issue_idle_cycles;
+  for (WarpScheduler& sched : schedulers_) IssueFrom(sched, now);
   other_traffic_credit_ += committed_thread_insns - committed_before;
 
   DrainOutgoing(icnt);

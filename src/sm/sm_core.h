@@ -47,8 +47,6 @@ class SmCore {
   std::uint64_t committed_thread_insns = 0;
   std::uint64_t committed_mem_insns = 0;    // thread-level memory insns
   std::uint64_t issued_warp_insns = 0;
-  std::uint64_t issue_idle_cycles = 0;      // no scheduler issued
-  std::uint64_t mem_blocked_issues = 0;     // mem issue blocked: queue full
   std::uint64_t load_block_cycles = 0;      // total warp-blocked-on-load time
   std::uint64_t load_block_events = 0;
 

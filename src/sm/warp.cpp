@@ -10,7 +10,6 @@ void Warp::AdvanceIssue(Cycle now) {
   // A BUSY warp whose latency elapsed is logically READY; normalize.
   state_ = State::kReady;
 
-  ++issued_slots_;
   const Instruction& insn = program_->body()[body_idx_];
   if (++intra_count_ < insn.count) return;
 

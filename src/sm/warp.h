@@ -77,7 +77,6 @@ class Warp {
 
   WarpId id() const { return id_; }
   std::uint64_t global_id() const { return global_id_; }
-  std::uint64_t issued_slots() const { return issued_slots_; }
   Cycle block_start() const { return block_start_; }
 
  private:
@@ -102,7 +101,6 @@ class Warp {
   std::uint64_t iter_ = 0;
   std::uint32_t body_idx_ = 0;
   std::uint32_t intra_count_ = 0;  // progress within a run-length block
-  std::uint64_t issued_slots_ = 0;
 };
 
 }  // namespace dlpsim

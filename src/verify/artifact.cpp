@@ -5,6 +5,7 @@
 #include <ostream>
 #include <sstream>
 
+#include "sim/parse.h"
 #include "trace/source.h"
 #include "trace/writer.h"
 
@@ -29,16 +30,6 @@ bool ParsePolicyToken(const std::string& s, PolicyKind* out) {
   else if (s == "dlp") *out = PolicyKind::kDlp;
   else return false;
   return true;
-}
-
-bool ParseU64(const std::string& s, std::uint64_t* out) {
-  try {
-    std::size_t consumed = 0;
-    *out = std::stoull(s, &consumed, 0);
-    return consumed == s.size();
-  } catch (const std::exception&) {
-    return false;
-  }
 }
 
 }  // namespace
@@ -102,15 +93,13 @@ bool ParseArtifactMeta(const std::string& meta_text, Artifact* out,
   const auto u32_field = [&](const char* key, std::uint32_t* dst) {
     const auto it = meta.find(key);
     if (it == meta.end()) return true;
-    std::uint64_t v = 0;
-    if (!ParseU64(it->second, &v) || v > UINT32_MAX) {
+    if (!ParseUnsigned(it->second, dst)) {
       if (error != nullptr) {
         *error = std::string("bad metadata value for '") + key + "': '" +
                  it->second + "'";
       }
       return false;
     }
-    *dst = static_cast<std::uint32_t>(v);
     return true;
   };
 

@@ -12,28 +12,6 @@ namespace dlpsim::verify {
 
 namespace {
 
-struct StatsField {
-  const char* name;
-  std::uint64_t CacheStats::* member;
-};
-
-constexpr StatsField kStatsFields[] = {
-    {"accesses", &CacheStats::accesses},
-    {"loads", &CacheStats::loads},
-    {"stores", &CacheStats::stores},
-    {"load_hits", &CacheStats::load_hits},
-    {"load_misses", &CacheStats::load_misses},
-    {"store_hits", &CacheStats::store_hits},
-    {"mshr_merges", &CacheStats::mshr_merges},
-    {"misses_issued", &CacheStats::misses_issued},
-    {"bypasses", &CacheStats::bypasses},
-    {"reservation_fails", &CacheStats::reservation_fails},
-    {"evictions", &CacheStats::evictions},
-    {"writebacks", &CacheStats::writebacks},
-    {"fills", &CacheStats::fills},
-    {"store_invalidates", &CacheStats::store_invalidates},
-};
-
 /// The real tag array's occupied lines of `set` in recency order,
 /// matching OracleL1D::SetImage's rendering.
 std::vector<OracleL1D::LineImage> RealSetImage(const L1DCache& cache,
@@ -149,7 +127,7 @@ constexpr std::uint64_t kMaxRetriesPerAccess = 1u << 20;
 
 std::string DiffStats(const CacheStats& real, const CacheStats& oracle) {
   std::ostringstream os;
-  for (const StatsField& f : kStatsFields) {
+  for (const CacheStatsField& f : CacheStatsFields()) {
     if (real.*(f.member) != oracle.*(f.member)) {
       if (os.tellp() > 0) os << ", ";
       os << f.name << ": real=" << real.*(f.member)

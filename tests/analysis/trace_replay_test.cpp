@@ -113,6 +113,12 @@ TEST(TraceReplay, SequentialReplaysReportDeltas) {
   EXPECT_EQ(b.cache.loads, 1u);
   EXPECT_EQ(b.cache.load_hits, 1u);
   EXPECT_EQ(b.cache.misses_issued, 0u);
+  // The deltas are additive in every counter.
+  const CacheStats& lifetime = replayer.cache().stats();
+  for (const CacheStatsField& f : CacheStatsFields()) {
+    EXPECT_EQ(a.cache.*(f.member) + b.cache.*(f.member), lifetime.*(f.member))
+        << f.name;
+  }
 }
 
 TEST(TraceReplay, ResetClearsCacheState) {

@@ -230,16 +230,10 @@ TEST(L1DCache, DlpBypassesWhenSetFullyProtected) {
   cache.Access(Load(2 * 128, 0x20), 0);
   DrainAndFill(cache, woken);
 
-  // Manufacture full protection via the policy's own bookkeeping: force
-  // PLs through the tag array directly (unit-level shortcut), keeping
-  // the incremental PL histogram in lockstep so Debug asserts and the
-  // robust/ invariant checker stay happy.
+  // Manufacture full protection: force PLs through the tag array
+  // directly (unit-level shortcut).
   TagArray& tda = cache.mutable_tda();
-  for (std::uint32_t way : {0u, 1u}) {
-    CacheLine& line = tda.At(0, way);
-    cache.mutable_pl_counters().Move(line.protected_life, 5);
-    line.protected_life = 5;
-  }
+  for (std::uint32_t way : {0u, 1u}) tda.At(0, way).protected_life = 5;
 
   EXPECT_EQ(cache.Access(Load(4 * 128, 0x30, 7), 1), AccessResult::kBypassed);
   EXPECT_EQ(cache.stats().bypasses, 1u);

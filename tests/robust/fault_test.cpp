@@ -108,6 +108,10 @@ TEST(FaultPlan, ParseRejectsGarbage) {
   err.clear();
   EXPECT_FALSE(FaultPlan::Parse("seed=xyz", &plan, &err));
   EXPECT_FALSE(err.empty());
+  err.clear();
+  // A sign is rejected, not wrapped to 2^64 - 1 events.
+  EXPECT_FALSE(FaultPlan::Parse("count=-1", &plan, &err));
+  EXPECT_FALSE(err.empty());
 }
 
 TEST(FaultInjector, GpuDegradesGracefullyUnderAllFaultKinds) {

@@ -112,6 +112,26 @@ TEST(Watchdog, CleanRunNeverTripsAndResultsAreByteIdentical) {
   EXPECT_EQ(m.ToText(), ref.ToText());
 }
 
+TEST(Watchdog, DiagnoseCountsProtectedWaysBehindAnEvictableOne) {
+  // Way 0 is evictable, so the set is not fully protected; the three
+  // protected ways behind it must still be counted.
+  auto prog = SmallKernel();
+  GpuSimulator gpu(TinyGpu(PolicyKind::kDlp), prog.get(), 4);
+  TagArray& tda = gpu.cores()[0].l1d().mutable_tda();
+  for (std::uint32_t way = 0; way < 4; ++way) {
+    CacheLine& line = tda.At(0, way);
+    line.block = way;
+    line.state = LineState::kValid;
+    line.protected_life = way == 0 ? 0 : 5;
+  }
+
+  const StallDiagnostic d = Diagnose(gpu, 0, 0, 0);
+  ASSERT_EQ(d.sms.size(), 2u);
+  EXPECT_EQ(d.sms[0].protected_lines, 3u);
+  EXPECT_EQ(d.sms[0].fully_protected_sets, 0u);
+  EXPECT_EQ(d.sms[1].protected_lines, 0u);
+}
+
 TEST(Watchdog, RunErrorToStringIsStable) {
   EXPECT_STREQ(ToString(RunError::kNone), "none");
   EXPECT_STREQ(ToString(RunError::kWatchdogStall), "watchdog_stall");

@@ -66,6 +66,10 @@ TEST(Request, RejectsMissingOrHostileFields) {
       ExperimentRequest::Parse("app B\nconfig c\nattempt 1001\n", &got, &err));
   EXPECT_FALSE(
       ExperimentRequest::Parse("app B\nconfig c\nid 12x\n", &got, &err));
+  // A sign is rejected, not wrapped to 2^64 - 1.
+  EXPECT_FALSE(ExperimentRequest::Parse("app B\nconfig c\ndeadline_ms -1\n",
+                                        &got, &err));
+  EXPECT_EQ(err, "bad deadline_ms");
 }
 
 TEST(Request, UnknownKeysAreIgnoredForForwardCompat) {

@@ -57,10 +57,10 @@ TEST_F(LdStUnitTest, DispatchesOneTransactionPerCycle) {
   warps_[0].BlockOnMem(0);
   Enqueue(0, {0, 128});
   unit_->Tick(0, warps_);
-  EXPECT_EQ(unit_->transactions, 1u);
+  EXPECT_EQ(cache_->stats().accesses, 1u);
   EXPECT_FALSE(unit_->Idle());  // second line still pending
   unit_->Tick(1, warps_);
-  EXPECT_EQ(unit_->transactions, 2u);
+  EXPECT_EQ(cache_->stats().accesses, 2u);
   EXPECT_TRUE(unit_->Idle());
   EXPECT_EQ(warps_[0].outstanding(), 2u);
 }
@@ -144,7 +144,6 @@ TEST_F(LdStUnitTest, SlotRingKeepsFifoOrderAcrossTheWrap) {
   std::vector<Addr> expected(block);
   for (Addr b = 0; b < block; ++b) expected[b] = b;
   EXPECT_EQ(sent, expected);
-  EXPECT_EQ(unit_->mem_ops, n + 3u);
 }
 
 TEST_F(LdStUnitTest, CapacityBound) {

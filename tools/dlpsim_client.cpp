@@ -31,6 +31,7 @@
 #include "robust/error.h"
 #include "serve/client.h"
 #include "sim/env.h"
+#include "sim/parse.h"
 
 namespace {
 
@@ -66,6 +67,14 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // Reads the flag's value into `dst`; false when it is not a decimal
+    // number that `dst` can hold.
+    auto number = [&](const char* what, auto* dst) {
+      const char* v = next(what);
+      if (ParseUnsigned(v, dst)) return true;
+      std::cerr << what << ": bad value '" << v << "'\n";
+      return false;
+    };
     if (a == "--socket") {
       socket_path = next("--socket");
     } else if (a == "--app") {
@@ -81,32 +90,27 @@ int main(int argc, char** argv) {
     } else if (a == "--scale") {
       req.scale = std::atof(next("--scale"));
     } else if (a == "--deadline-ms") {
-      req.deadline_ms = static_cast<std::uint64_t>(
-          std::atoll(next("--deadline-ms")));
+      if (!number("--deadline-ms", &req.deadline_ms)) return Usage(argv[0]);
       load.deadline_ms = req.deadline_ms;
     } else if (a == "--faults") {
       req.faults = next("--faults");
     } else if (a == "--watchdog") {
-      req.watchdog_cycles =
-          static_cast<std::uint64_t>(std::atoll(next("--watchdog")));
+      if (!number("--watchdog", &req.watchdog_cycles)) return Usage(argv[0]);
     } else if (a == "--chaos") {
       req.chaos = next("--chaos");
     } else if (a == "--nocache") {
       req.nocache = true;
     } else if (a == "--retries") {
-      reject_retries = std::atoi(next("--retries"));
+      if (!number("--retries", &reject_retries)) return Usage(argv[0]);
     } else if (a == "--replay") {
       replay = true;
-      load.requests =
-          static_cast<std::uint64_t>(std::atoll(next("--replay")));
+      if (!number("--replay", &load.requests)) return Usage(argv[0]);
     } else if (a == "--concurrency") {
-      load.concurrency =
-          static_cast<std::size_t>(std::atoi(next("--concurrency")));
+      if (!number("--concurrency", &load.concurrency)) return Usage(argv[0]);
     } else if (a == "--seed") {
-      load.seed = static_cast<std::uint64_t>(std::atoll(next("--seed")));
+      if (!number("--seed", &load.seed)) return Usage(argv[0]);
     } else if (a == "--chaos-pct") {
-      load.chaos_pct =
-          static_cast<std::uint64_t>(std::atoll(next("--chaos-pct")));
+      if (!number("--chaos-pct", &load.chaos_pct)) return Usage(argv[0]);
     } else if (a == "--metrics") {
       metrics = true;
       if (i + 1 < argc && argv[i + 1][0] != '-') metrics_kind = argv[++i];

@@ -34,7 +34,6 @@
 #include <signal.h>
 #include <unistd.h>
 
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <sstream>
@@ -49,6 +48,7 @@
 #include "serve/worker.h"
 #include "sim/config.h"
 #include "sim/env.h"
+#include "sim/parse.h"
 #include "trace/hash.h"
 #include "trace/source.h"
 
@@ -196,11 +196,18 @@ bool ParseFlags(int argc, char** argv, Flags* f) {
       }
       return argv[++i];
     };
-    if (a == "--worker-fd") {
-      const char* v = next("--worker-fd");
+    // Reads the flag's value into `dst`; false when it is not a decimal
+    // number that `dst` can hold.
+    auto number = [&](const char* what, auto* dst) {
+      const char* v = next(what);
       if (v == nullptr) return false;
+      if (ParseUnsigned(v, dst)) return true;
+      std::cerr << what << ": bad value '" << v << "'\n";
+      return false;
+    };
+    if (a == "--worker-fd") {
+      if (!number("--worker-fd", &f->worker_fd)) return false;
       f->worker = true;
-      f->worker_fd = std::atoi(v);
     } else if (a == "--stub") {
       f->stub = true;
     } else if (a == "--chaos") {
@@ -216,25 +223,15 @@ bool ParseFlags(int argc, char** argv, Flags* f) {
       if (v == nullptr) return false;
       f->cache_dir = v;
     } else if (a == "--workers") {
-      const char* v = next("--workers");
-      if (v == nullptr) return false;
-      f->workers = static_cast<std::size_t>(std::atoi(v));
+      if (!number("--workers", &f->workers)) return false;
     } else if (a == "--queue") {
-      const char* v = next("--queue");
-      if (v == nullptr) return false;
-      f->queue = static_cast<std::size_t>(std::atoi(v));
+      if (!number("--queue", &f->queue)) return false;
     } else if (a == "--retries") {
-      const char* v = next("--retries");
-      if (v == nullptr) return false;
-      f->retries = std::atoi(v);
+      if (!number("--retries", &f->retries)) return false;
     } else if (a == "--backoff-ms") {
-      const char* v = next("--backoff-ms");
-      if (v == nullptr) return false;
-      f->backoff_ms = static_cast<std::uint64_t>(std::atoll(v));
+      if (!number("--backoff-ms", &f->backoff_ms)) return false;
     } else if (a == "--deadline-ms") {
-      const char* v = next("--deadline-ms");
-      if (v == nullptr) return false;
-      f->deadline_ms = static_cast<std::uint64_t>(std::atoll(v));
+      if (!number("--deadline-ms", &f->deadline_ms)) return false;
     } else {
       std::cerr << "unknown flag: " << a << '\n';
       return false;

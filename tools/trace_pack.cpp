@@ -43,6 +43,7 @@
 #include "gpu/simulator.h"
 #include "sim/config.h"
 #include "sim/env.h"
+#include "sim/parse.h"
 #include "trace/format.h"
 #include "trace/hash.h"
 #include "trace/record.h"
@@ -340,7 +341,10 @@ int main(int argc, char** argv) {
     } else if (a == "--block") {
       const char* v = next("--block");
       if (v == nullptr) return 2;
-      block_records = static_cast<std::uint32_t>(std::strtoul(v, nullptr, 10));
+      if (!ParseUnsigned(v, &block_records)) {
+        std::cerr << "trace_pack: --block: bad value '" << v << "'\n";
+        return Usage();
+      }
       if (block_records == 0) {
         std::cerr << "trace_pack: --block must be >= 1\n";
         return 2;

@@ -30,13 +30,13 @@
 // Exit codes: 0 all checks clean, 1 divergence/violation found, 2 usage.
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "exec/run_grid.h"
 #include "sim/env.h"
+#include "sim/parse.h"
 #include "verify/artifact.h"
 #include "verify/differential.h"
 #include "verify/fuzzer.h"
@@ -200,19 +200,19 @@ int main(int argc, char** argv) {
     };
     const char* value = nullptr;
     if (arg == "--traces" && (value = next())) {
-      opt.traces = std::strtoull(value, nullptr, 10);
+      if (!ParseU64(value, &opt.traces)) return Usage(argv[0]);
       any_mode = true;
     } else if (arg == "--parser-fuzz" && (value = next())) {
-      opt.parser_fuzz = std::strtoull(value, nullptr, 10);
+      if (!ParseU64(value, &opt.parser_fuzz)) return Usage(argv[0]);
       any_mode = true;
     } else if (arg == "--packed-fuzz" && (value = next())) {
-      opt.packed_fuzz = std::strtoull(value, nullptr, 10);
+      if (!ParseU64(value, &opt.packed_fuzz)) return Usage(argv[0]);
       any_mode = true;
     } else if (arg == "--neutrality" && (value = next())) {
-      opt.neutrality = std::strtoull(value, nullptr, 10);
+      if (!ParseU64(value, &opt.neutrality)) return Usage(argv[0]);
       any_mode = true;
     } else if (arg == "--determinism" && (value = next())) {
-      opt.determinism = std::strtoull(value, nullptr, 10);
+      if (!ParseU64(value, &opt.determinism)) return Usage(argv[0]);
       any_mode = true;
     } else if (arg == "--replay" && (value = next())) {
       opt.replay = value;
@@ -220,9 +220,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--policy" && (value = next())) {
       opt.policy = value;
     } else if (arg == "--seed" && (value = next())) {
-      opt.seed = std::strtoull(value, nullptr, 10);
+      if (!ParseU64(value, &opt.seed)) return Usage(argv[0]);
     } else if (arg == "--jobs" && (value = next())) {
-      opt.jobs = static_cast<std::size_t>(std::strtoull(value, nullptr, 10));
+      if (!ParseUnsigned(value, &opt.jobs)) return Usage(argv[0]);
     } else if (arg == "--out" && (value = next())) {
       opt.out_dir = value;
     } else if (arg == "--artifact-format" && (value = next())) {
