@@ -67,6 +67,7 @@ void L1DCache::PushOutgoing(L1DOutgoing req) {
 
 L1DOutgoing L1DCache::PopOutgoing() {
   assert(!outgoing_.empty());
+  ++epoch_;
   L1DOutgoing front = outgoing_.front();
   outgoing_.pop_front();
   return front;
@@ -99,6 +100,7 @@ void L1DCache::EvictFor(std::uint32_t set, std::uint32_t way, Addr new_block,
 
 void L1DCache::InjectProtectedLifeFlip(std::uint32_t set, std::uint32_t way,
                                        std::uint32_t bit) {
+  ++epoch_;
   CacheLine& line = tda_.At(set, way);
   if (!IsOccupied(line.state)) return;  // PL is meaningless when invalid
   const std::uint32_t pd_max = cfg_.prot.pd_max();
@@ -119,9 +121,24 @@ AccessResult L1DCache::Access(const MemAccess& access, Cycle now) {
   const Addr block = tda_.BlockOf(access.addr);
   const std::uint32_t set = tda_.SetOfBlock(block);
   if (trace_ != nullptr) trace_->SetNow(now);
-  const AccessResult result = access.type == AccessType::kLoad
-                                  ? AccessLoad(access, set, block, now)
-                                  : AccessStore(access, set, block, now);
+  AccessResult result;
+  if (RepeatsLastFailure(block, access.type)) {
+    // A failure changes only reservation_fails, and its outcome depends
+    // only on state the mutators own: the same probe would fail again.
+    ++stats_.reservation_fails;
+    result = AccessResult::kReservationFail;
+  } else {
+    result = access.type == AccessType::kLoad
+                 ? AccessLoad(access, set, block, now)
+                 : AccessStore(access, set, block, now);
+    if (result == AccessResult::kReservationFail) {
+      failed_epoch_ = epoch_;
+      failed_block_ = block;
+      failed_type_ = access.type;
+    } else {
+      ++epoch_;
+    }
+  }
   if (trace_ != nullptr) {
     trace_->Emit({.arg0 = static_cast<std::uint64_t>(result),
                   .block = block,
@@ -276,6 +293,7 @@ AccessResult L1DCache::AccessStore(const MemAccess& access, std::uint32_t set,
 
 void L1DCache::Fill(const L1DResponse& response, Cycle now,
                     std::vector<MshrToken>& woken) {
+  ++epoch_;
   if (response.no_fill) {
     woken.push_back(response.token);
     return;
@@ -297,6 +315,7 @@ void L1DCache::Fill(const L1DResponse& response, Cycle now,
 }
 
 void L1DCache::Reset() {
+  ++epoch_;
   tda_ = TagArray(cfg_.geom);
   mshr_ = MshrTable(cfg_.mshr_entries, cfg_.mshr_max_merged);
   policy_->Reset();

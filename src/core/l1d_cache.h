@@ -74,8 +74,19 @@ class L1DCache {
   explicit L1DCache(const L1DConfig& cfg);
 
   /// Processes one transaction. On kReservationFail the caller must retry
-  /// the same transaction next cycle; no state was modified.
+  /// the same transaction next cycle; only stats().reservation_fails
+  /// changed. A repeat of the last failed access with no mutator run in
+  /// between (every completed access, Fill, PopOutgoing, Reset, the fault
+  /// hooks, mutable_tda() and mutable_policy() count) fails again without
+  /// probing: nothing its outcome depends on has changed.
   AccessResult Access(const MemAccess& access, Cycle now);
+
+  /// Whether an access of `type` to line `block` (addr / line_bytes)
+  /// would repeat the last failure without probing, blackouts aside.
+  bool RepeatsLastFailure(Addr block, AccessType type) const {
+    return failed_epoch_ == epoch_ && failed_block_ == block &&
+           failed_type_ == type;
+  }
 
   /// Handles a returning response; appends woken tokens to `woken`.
   void Fill(const L1DResponse& response, Cycle now,
@@ -103,11 +114,18 @@ class L1DCache {
   std::uint32_t line_bytes() const { return cfg_.geom.line_bytes; }
 
   /// Mutable policy access for the fault injector (robust/) only.
-  ProtectionPolicy& mutable_policy() { return *policy_; }
+  ProtectionPolicy& mutable_policy() {
+    ++epoch_;
+    return *policy_;
+  }
   /// Mutable tag-array access for white-box tests (e.g. planting the
   /// corruptions the robust/ invariant checker must catch). Never used
-  /// on the simulation path.
-  TagArray& mutable_tda() { return tda_; }
+  /// on the simulation path. Counts as a mutator when called, so make
+  /// every change through the reference before the next Access.
+  TagArray& mutable_tda() {
+    ++epoch_;
+    return tda_;
+  }
   std::size_t outgoing_size() const { return outgoing_.size(); }
 
   // --- fault-injection hooks (robust/FaultInjector; never called on the
@@ -123,6 +141,7 @@ class L1DCache {
   /// (core cycles) fails with kReservationFail, exercising the LD/ST
   /// unit's retry path without touching cache state.
   void InjectReservationBlackout(Cycle until) {
+    ++epoch_;
     fault_blackout_until_ = until;
   }
 
@@ -175,6 +194,12 @@ class L1DCache {
   obs::Profiler* profiler_ = nullptr;
   std::uint16_t sm_ = 0;
   Cycle fault_blackout_until_ = 0;  // robust/: accesses fail before this
+  // Failed-access memo. Every mutator bumps epoch_; the last access that
+  // failed by probing is remembered with the epoch it failed in.
+  std::uint64_t epoch_ = 0;
+  std::uint64_t failed_epoch_ = ~std::uint64_t{0};
+  Addr failed_block_ = 0;
+  AccessType failed_type_ = AccessType::kLoad;
 };
 
 }  // namespace dlpsim

@@ -4,13 +4,34 @@
 
 namespace dlpsim {
 
+namespace {
+// Moves waiting packets into their delivery queues while a queue holds
+// fewer than `cap`; returns how many moved.
+std::size_t AdmitWaiting(std::vector<std::deque<IcntPacket>>& waits,
+                         std::vector<std::deque<IcntPacket>>& queues,
+                         std::size_t cap) {
+  std::size_t moved = 0;
+  for (std::size_t dst = 0; dst < waits.size(); ++dst) {
+    std::deque<IcntPacket>& wait = waits[dst];
+    std::deque<IcntPacket>& queue = queues[dst];
+    for (; !wait.empty() && queue.size() < cap; ++moved) {
+      queue.push_back(wait.front());
+      wait.pop_front();
+    }
+  }
+  return moved;
+}
+}  // namespace
+
 Crossbar::Crossbar(const IcntConfig& cfg, std::uint32_t num_cores,
                    std::uint32_t num_partitions)
     : cfg_(cfg),
       core_ports_(num_cores),
       partition_ports_(num_partitions),
       to_partition_(num_partitions),
-      to_core_(num_cores) {}
+      to_core_(num_cores),
+      wait_to_partition_(num_partitions),
+      wait_to_core_(num_cores) {}
 
 bool Crossbar::CanInjectFromCore(std::uint32_t core) const {
   return core_ports_[core].queue.size() < kInjectQueueCap;
@@ -73,26 +94,34 @@ void Crossbar::TickPort(Port& port, bool to_core, Cycle now) {
 }
 
 void Crossbar::Deliver(Cycle now) {
+  // Nothing pops a delivery queue during Deliver, so once one due packet
+  // for a destination is blocked, every later one is too. Waiting packets
+  // therefore go first, in arrival order, and each packet lands on the
+  // same cycle as under a rescan of every due packet.
+  if (waiting_ > 0) {
+    const std::size_t moved =
+        AdmitWaiting(wait_to_partition_, to_partition_, kDeliveryQueueCap) +
+        AdmitWaiting(wait_to_core_, to_core_, kDeliveryQueueCap);
+    waiting_ -= moved;
+    packets_delivered += moved;
+  }
   // The hop latency is constant, so flight_ (FIFO by serialization
   // completion) is ordered by deliver_at and only its prefix is due.
-  // Deliver every due packet whose destination queue has room. Blocked
-  // packets are compacted to the front in order; they block later arrivals
-  // to the same queue, which preserves point-to-point ordering.
-  std::size_t kept = 0;
-  std::size_t due = 0;
-  for (; due < flight_.size() && flight_[due].deliver_at <= now; ++due) {
-    const InFlight& f = flight_[due];
+  while (!flight_.empty() && flight_.front().deliver_at <= now) {
+    const InFlight& f = flight_.front();
     auto& queue = (f.to_core ? to_core_ : to_partition_)[f.pkt.dst];
+    auto& wait = (f.to_core ? wait_to_core_ : wait_to_partition_)[f.pkt.dst];
     if (queue.size() < kDeliveryQueueCap) {
+      // A non-empty wait FIFO implies a full queue: no packet passes one.
+      assert(wait.empty());
       queue.push_back(f.pkt);
       ++packets_delivered;
     } else {
-      if (kept != due) flight_[kept] = f;
-      ++kept;
+      wait.push_back(f.pkt);
+      ++waiting_;
     }
+    flight_.pop_front();
   }
-  flight_.erase(flight_.begin() + static_cast<std::ptrdiff_t>(kept),
-                flight_.begin() + static_cast<std::ptrdiff_t>(due));
 }
 
 void Crossbar::Tick(Cycle now) {
@@ -110,14 +139,14 @@ Crossbar::QueueDepths Crossbar::Depths() const {
   QueueDepths d;
   for (const Port& p : core_ports_) d.core_inject += p.queue.size();
   for (const Port& p : partition_ports_) d.partition_inject += p.queue.size();
-  d.in_flight = flight_.size();
+  d.in_flight = flight_.size() + waiting_;
   for (const auto& q : to_partition_) d.to_partition += q.size();
   for (const auto& q : to_core_) d.to_core += q.size();
   return d;
 }
 
 bool Crossbar::Idle() const {
-  if (!flight_.empty()) return false;
+  if (!flight_.empty() || waiting_ > 0) return false;
   for (const Port& p : core_ports_) {
     if (!p.queue.empty()) return false;
   }

@@ -3,10 +3,10 @@
 // Model: every source (core or partition) owns an injection port with a
 // fixed per-cycle byte bandwidth; a packet serializes for
 // ceil(bytes / bandwidth) interconnect cycles, then travels `latency`
-// cycles, then waits for space in the destination's delivery queue
-// (bounded, providing backpressure). Byte counters distinguish L1D
-// traffic from the background L1I/L1C/L1T traffic so Fig. 13's dilution
-// effect is measurable.
+// cycles, then waits in a per-destination FIFO for space in the
+// destination's delivery queue (bounded, providing backpressure). Byte
+// counters distinguish L1D traffic from the background L1I/L1C/L1T
+// traffic so Fig. 13's dilution effect is measurable.
 #pragma once
 
 #include <cstdint>
@@ -66,12 +66,26 @@ class Crossbar {
   /// True when no packet is anywhere in the network (drain check).
   bool Idle() const;
 
-  /// Debug introspection: instantaneous queue depths.
+  /// Debug introspection: instantaneous queue depths. `in_flight` counts
+  /// every serialized packet not yet in a delivery queue: those still in
+  /// transit and those due but waiting for room at their destination.
   struct QueueDepths {
     std::size_t core_inject = 0, partition_inject = 0, in_flight = 0,
                 to_partition = 0, to_core = 0;
   };
   QueueDepths Depths() const;
+
+  /// A serialized packet in transit.
+  struct InFlight {
+    IcntPacket pkt;
+    Cycle deliver_at = 0;
+    bool to_core = false;
+  };
+  /// Packets in transit and not yet due, in serialization order (the
+  /// invariant checker verifies they are ordered by deliver_at).
+  const std::deque<InFlight>& in_transit() const { return flight_; }
+  /// White-box tests only: plants the disorder the checker must catch.
+  std::deque<InFlight>& mutable_in_transit() { return flight_; }
 
   // --- statistics (bytes injected, by class) ---
   std::uint64_t bytes_core_to_mem = 0;
@@ -85,12 +99,6 @@ class Crossbar {
   }
 
  private:
-  struct InFlight {
-    IcntPacket pkt;
-    Cycle deliver_at = 0;
-    bool to_core = false;
-  };
-
   struct Port {
     std::deque<IcntPacket> queue;   // awaiting serialization
     std::uint32_t sent_bytes = 0;   // of the head packet
@@ -105,6 +113,11 @@ class Crossbar {
   std::deque<InFlight> flight_;        // serialized, in transit (FIFO)
   std::vector<std::deque<IcntPacket>> to_partition_;  // delivery queues
   std::vector<std::deque<IcntPacket>> to_core_;
+  // Due packets that found their delivery queue full, per destination in
+  // arrival order; waiting_ counts them all.
+  std::vector<std::deque<IcntPacket>> wait_to_partition_;
+  std::vector<std::deque<IcntPacket>> wait_to_core_;
+  std::size_t waiting_ = 0;
   std::uint64_t fault_stall_cycles_ = 0;  // robust/: ticks to swallow
 
   static constexpr std::size_t kInjectQueueCap = 8;

@@ -40,6 +40,17 @@ class DramChannel {
   std::size_t queue_depth() const { return queue_.size(); }
   std::size_t in_service_depth() const { return in_service_.size(); }
 
+  /// An issued request and the memory cycle it completes on.
+  struct InService {
+    Completion completion;
+    Cycle done_at = 0;
+  };
+  /// Issued requests in issue order (the invariant checker verifies that
+  /// they complete in that order).
+  const std::deque<InService>& in_service() const { return in_service_; }
+  /// White-box tests only: plants the disorder the checker must catch.
+  std::deque<InService>& mutable_in_service() { return in_service_; }
+
   // --- derived mapping (exposed for tests) ---
   std::uint32_t BankOf(Addr block) const;
   std::uint64_t RowOf(Addr block) const;
@@ -60,11 +71,6 @@ class DramChannel {
     Request req;
     std::uint32_t bank = 0;
     std::uint64_t row = 0;
-  };
-
-  struct InService {
-    Completion completion;
-    Cycle done_at = 0;
   };
 
   /// Issues at most one queued request whose bank is free at `now`.

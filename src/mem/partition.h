@@ -44,13 +44,21 @@ class MemoryPartition {
   };
   QueueDepths Depths() const;
 
- private:
   struct PendingReply {
     IcntPacket pkt;
     Cycle ready_at = 0;
     std::uint64_t seq = 0;  // schedule order across both reply FIFOs
   };
+  /// The two reply FIFOs, L2 hits and DRAM fills, in schedule order (the
+  /// invariant checker verifies each is ordered by ready_at).
+  const std::deque<PendingReply>& l2_replies() const { return l2_replies_; }
+  const std::deque<PendingReply>& dram_replies() const {
+    return dram_replies_;
+  }
+  /// White-box tests only: plants the disorder the checker must catch.
+  std::deque<PendingReply>& mutable_l2_replies() { return l2_replies_; }
 
+ private:
   void ScheduleReply(std::deque<PendingReply>& fifo, const IcntPacket& request,
                      Cycle ready_at);
   void PushReplies(Cycle now, Crossbar& icnt);

@@ -1,5 +1,7 @@
 #include "robust/invariants.h"
 
+#include <algorithm>
+#include <deque>
 #include <sstream>
 #include <unordered_set>
 
@@ -141,19 +143,110 @@ std::string CheckL1D(const L1DCache& l1d) {
   return "";
 }
 
+std::string CheckSmCore(const SmCore& core) {
+  const std::vector<Warp>& warps = core.warps();
+  const bool all_finished =
+      std::all_of(warps.begin(), warps.end(),
+                  [](const Warp& w) { return w.Finished(); });
+  if (core.Finished() != all_finished) {
+    std::ostringstream os;
+    os << std::boolalpha << "finished_count: Finished() is " << core.Finished()
+       << " but a walk of the warps says " << all_finished;
+    return os.str();
+  }
+  for (const WarpScheduler& sched : core.schedulers()) {
+    for (std::uint32_t w = 0; w < warps.size(); ++w) {
+      if (!sched.Owns(w)) continue;
+      const char* problem = nullptr;
+      if (warps[w].WaitingOnMem()) {
+        if (sched.InReadySet(w)) problem = "waits on memory but is in";
+      } else if (!warps[w].Finished() && !sched.InReadySet(w)) {
+        problem = "can issue but is missing from";
+      }
+      if (problem != nullptr) {
+        return "ready_set: warp " + std::to_string(w) + " " + problem +
+               " the ready set";
+      }
+    }
+  }
+  return "";
+}
+
+namespace {
+/// Index of the first entry of `fifo` due before its predecessor, or
+/// npos when `fifo` is ordered by `key`.
+template <typename T>
+std::size_t FirstDisorder(const std::deque<T>& fifo, Cycle T::* key) {
+  for (std::size_t i = 1; i < fifo.size(); ++i) {
+    if (fifo[i].*key < fifo[i - 1].*key) return i;
+  }
+  return std::string::npos;
+}
+
+std::string DisorderAt(const char* check, const char* what, std::size_t i,
+                       Cycle before, Cycle at) {
+  std::ostringstream os;
+  os << check << ": " << what << " " << i << " is due at " << at
+     << ", before its predecessor at " << before;
+  return os.str();
+}
+}  // namespace
+
+std::string CheckCrossbar(const Crossbar& icnt) {
+  const auto& fifo = icnt.in_transit();
+  const std::size_t i = FirstDisorder(fifo, &Crossbar::InFlight::deliver_at);
+  if (i == std::string::npos) return "";
+  return DisorderAt("icnt_order", "packet in transit", i,
+                    fifo[i - 1].deliver_at, fifo[i].deliver_at);
+}
+
+std::string CheckDram(const DramChannel& dram) {
+  const auto& service = dram.in_service();
+  const std::size_t i =
+      FirstDisorder(service, &DramChannel::InService::done_at);
+  if (i == std::string::npos) return "";
+  return DisorderAt("dram_order", "request in service", i,
+                    service[i - 1].done_at, service[i].done_at);
+}
+
+std::string CheckPartition(const MemoryPartition& partition) {
+  std::string violation = CheckDram(partition.dram());
+  if (!violation.empty()) return violation;
+  for (const auto* fifo :
+       {&partition.l2_replies(), &partition.dram_replies()}) {
+    const std::size_t j =
+        FirstDisorder(*fifo, &MemoryPartition::PendingReply::ready_at);
+    if (j != std::string::npos) {
+      return DisorderAt("reply_order", "reply", j, (*fifo)[j - 1].ready_at,
+                        (*fifo)[j].ready_at);
+    }
+  }
+  return "";
+}
+
+void InvariantChecker::Report(const std::string& where,
+                              const std::string& violation) {
+  if (violation.empty()) return;
+  ++violations_;
+  const std::size_t colon = violation.find(':');
+  const std::string check = violation.substr(0, colon);
+  const std::string details =
+      colon == std::string::npos ? violation : violation.substr(colon + 2);
+  last_violation_ = where + " " + violation;
+  if (throw_) throw InvariantError(check, where, details);
+}
+
 void InvariantChecker::CheckAll(const GpuSimulator& gpu, Cycle now) {
   next_check_ = now + interval_;
   ++checks_run_;
   for (const SmCore& core : gpu.cores()) {
-    std::string violation = CheckL1D(core.l1d());
-    if (violation.empty()) continue;
-    ++violations_;
-    const std::size_t colon = violation.find(':');
-    const std::string check = violation.substr(0, colon);
-    const std::string details =
-        colon == std::string::npos ? violation : violation.substr(colon + 2);
-    last_violation_ = "sm" + std::to_string(core.id()) + " " + violation;
-    if (throw_) throw InvariantError(check, core.id(), details);
+    const std::string where = "sm" + std::to_string(core.id());
+    Report(where, CheckL1D(core.l1d()));
+    Report(where, CheckSmCore(core));
+  }
+  Report("icnt", CheckCrossbar(gpu.icnt()));
+  for (const MemoryPartition& p : gpu.partitions()) {
+    Report("partition" + std::to_string(p.id()), CheckPartition(p));
   }
 }
 

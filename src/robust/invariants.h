@@ -1,11 +1,16 @@
 // Opt-in structural invariant checker for the L1D and its DLP side
-// structures.
+// structures, and for the timing-model invariants the engine's fast paths
+// rely on (DESIGN.md section 5).
 //
 // The protection machinery keeps state that must fit its hardware fields
 // or agree with a second structure (PL fields vs their 4-bit width,
 // RESERVED lines vs MSHR entries, saturating PDPT counters vs their bit
 // widths); a bug in any maintenance path corrupts replacement decisions
-// silently. The checker re-derives each property by brute force.
+// silently. Likewise the interconnect, DRAM and partition queues visit
+// only their due prefix, and the SM core keeps summaries of its warps in
+// place of walks: a timing change that breaks their ordering or drifts
+// their bookkeeping would go unnoticed. The checker re-derives each
+// property by brute force.
 //
 // Enabled either per-process (DLPSIM_CHECK=1) or for a whole build
 // (-DDLPSIM_CHECKED=ON, which the CI Debug job uses); DLPSIM_CHECK=0
@@ -23,29 +28,34 @@
 #include "sim/types.h"
 
 namespace dlpsim {
+class Crossbar;
+class DramChannel;
 class GpuSimulator;
 class L1DCache;
+class MemoryPartition;
+class SmCore;
 }  // namespace dlpsim
 
 namespace dlpsim::robust {
 
-/// Thrown (by default) on the first violated invariant.
+/// Thrown (by default) on the first violated invariant. `where` names
+/// the component: "sm<id>", "icnt" or "partition<id>".
 class InvariantError : public std::runtime_error {
  public:
-  InvariantError(std::string check, std::uint32_t sm, std::string details)
-      : std::runtime_error("invariant '" + check + "' violated on sm" +
-                           std::to_string(sm) + ": " + details),
+  InvariantError(std::string check, std::string where, std::string details)
+      : std::runtime_error("invariant '" + check + "' violated on " + where +
+                           ": " + details),
         check_(std::move(check)),
-        sm_(sm),
+        where_(std::move(where)),
         details_(std::move(details)) {}
 
   const std::string& check() const { return check_; }
-  std::uint32_t sm() const { return sm_; }
+  const std::string& where() const { return where_; }
   const std::string& details() const { return details_; }
 
  private:
   std::string check_;
-  std::uint32_t sm_;
+  std::string where_;
   std::string details_;
 };
 
@@ -65,6 +75,20 @@ std::string CheckPdpt(const L1DCache& l1d);
 /// (prefixed with the check name).
 std::string CheckL1D(const L1DCache& l1d);
 
+/// SmCore::Finished() agrees with a walk of the warps, and every
+/// scheduler's ready set holds each owned warp that is unfinished and not
+/// waiting on memory, and no warp waiting on memory. Prefixed like
+/// CheckL1D ("finished_count" / "ready_set").
+std::string CheckSmCore(const SmCore& core);
+/// The crossbar's packets in transit are ordered by deliver_at
+/// ("icnt_order").
+std::string CheckCrossbar(const Crossbar& icnt);
+/// DRAM requests in service complete in issue order ("dram_order").
+std::string CheckDram(const DramChannel& dram);
+/// CheckDram on the partition's channel, and each reply FIFO is ordered
+/// by ready_at ("reply_order").
+std::string CheckPartition(const MemoryPartition& partition);
+
 class InvariantChecker {
  public:
   explicit InvariantChecker(Cycle check_interval = 4096,
@@ -73,8 +97,9 @@ class InvariantChecker {
 
   bool Due(Cycle now) const { return now >= next_check_; }
 
-  /// Checks every SM's L1D. Throws InvariantError on the first violation
-  /// (or records it, when constructed with throw_on_violation=false).
+  /// Checks every SM (L1D and core), the crossbar and every partition.
+  /// Throws InvariantError on the first violation (or records it, when
+  /// constructed with throw_on_violation=false).
   void CheckAll(const GpuSimulator& gpu, Cycle now);
 
   std::uint64_t checks_run() const { return checks_run_; }
@@ -82,6 +107,9 @@ class InvariantChecker {
   const std::string& last_violation() const { return last_violation_; }
 
  private:
+  /// Records (and by default throws) `violation` if non-empty.
+  void Report(const std::string& where, const std::string& violation);
+
   Cycle interval_;
   bool throw_;
   Cycle next_check_ = 0;

@@ -17,7 +17,8 @@ void LdStUnit::Commit() {
   ++size_;
 }
 
-void LdStUnit::Tick(Cycle now, std::vector<Warp>& warps) {
+void LdStUnit::Tick(Cycle now, std::vector<Warp>& warps,
+                    std::vector<std::uint32_t>& woken) {
   for (std::uint32_t slot = 0; slot < cfg_.ldst_width; ++slot) {
     if (size_ == 0) return;
     WarpMemOp& op = slots_[head_];
@@ -42,7 +43,10 @@ void LdStUnit::Tick(Cycle now, std::vector<Warp>& warps) {
     }
 
     if (++op.next == op.lines.size()) {
-      if (op.type == AccessType::kLoad) warp.OnMemOpDispatched();
+      if (op.type == AccessType::kLoad) {
+        warp.OnMemOpDispatched();
+        if (warp.Quiescent()) woken.push_back(op.warp_index);
+      }
       head_ = Wrap(head_ + 1);
       --size_;
     }

@@ -43,8 +43,11 @@ class LdStUnit {
   /// be blocked via Warp::BlockOnMem().
   void Commit();
 
-  /// Dispatches up to ldst_width transactions from the head op.
-  void Tick(Cycle now, std::vector<Warp>& warps);
+  /// Dispatches up to ldst_width transactions from the head op. Appends
+  /// to `woken` each load's warp that stopped waiting on memory because
+  /// its last transaction dispatched with none outstanding (all hits).
+  void Tick(Cycle now, std::vector<Warp>& warps,
+            std::vector<std::uint32_t>& woken);
 
   bool Idle() const { return size_ == 0; }
   std::size_t queue_depth() const { return size_; }

@@ -16,9 +16,9 @@ enum class SchedulerKind : std::uint8_t { kGto, kLrr };
 
 class WarpScheduler {
  public:
+  /// `num_warps` is the size of the `warps` vector every Pick passes.
   WarpScheduler(SchedulerKind kind, std::uint32_t index,
-                std::uint32_t num_schedulers)
-      : kind_(kind), index_(index), stride_(num_schedulers) {}
+                std::uint32_t num_schedulers, std::uint32_t num_warps);
 
   /// Picks the warp to issue from this cycle, or kInvalidIndex. GTO: keep
   /// the last-issued warp while it stays issueable, else the oldest
@@ -29,20 +29,41 @@ class WarpScheduler {
   /// Informs the scheduler what was issued (updates greedy/rotation state).
   void OnIssued(std::uint32_t warp_index) { last_ = warp_index; }
 
+  /// Owned warp `warp_index` blocked on a load (Warp::BlockOnMem).
+  void OnBlocked(std::uint32_t warp_index) {
+    ready_[warp_index / 64] &= ~Bit(warp_index);
+  }
+  /// Owned warp `warp_index` stopped waiting on memory.
+  void OnWoken(std::uint32_t warp_index) {
+    ready_[warp_index / 64] |= Bit(warp_index);
+  }
+
+  /// Whether owned warp `warp_index` is in the ready set: every owned
+  /// warp that might issue. It holds each unfinished warp not waiting on
+  /// memory, SFU-busy ones included, and no warp waiting on memory;
+  /// retired warps stay until a GTO Pick drops them.
+  bool InReadySet(std::uint32_t warp_index) const {
+    return (ready_[warp_index / 64] & Bit(warp_index)) != 0;
+  }
+
+  bool Owns(std::uint32_t warp_index) const {
+    return warp_index % stride_ == index_;
+  }
   SchedulerKind kind() const { return kind_; }
 
  private:
-  bool Owns(std::uint32_t warp_index) const {
-    return warp_index % stride_ == index_;
+  static std::uint64_t Bit(std::uint32_t warp_index) {
+    return std::uint64_t{1} << (warp_index % 64);
   }
 
   SchedulerKind kind_;
   std::uint32_t index_;
   std::uint32_t stride_;
   std::uint32_t last_ = kInvalidIndex;
-  // GTO: lowest owned warp not known to have finished. Only grows, since
-  // Warp::Finished() is sticky; the then-oldest scan starts here.
-  std::uint32_t first_live_ = index_;
+  // Bit w % 64 of word w / 64 stands for warp w; the bits of warps this
+  // scheduler does not own stay clear. The then-oldest scan visits set
+  // bits only, lowest first.
+  std::vector<std::uint64_t> ready_;
 };
 
 }  // namespace dlpsim

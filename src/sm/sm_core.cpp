@@ -19,7 +19,7 @@ SmCore::SmCore(const SimConfig& cfg, SmId id, const Program* program,
     if (!warps_.back().Finished()) ++unfinished_warps_;
   }
   for (std::uint32_t s = 0; s < cfg.core.num_schedulers; ++s) {
-    schedulers_.emplace_back(sched, s, cfg.core.num_schedulers);
+    schedulers_.emplace_back(sched, s, cfg.core.num_schedulers, warps);
   }
 }
 
@@ -33,11 +33,13 @@ void SmCore::AcceptResponses(Cycle now, Crossbar& icnt) {
                            pkt.token},
                now, woken);
     for (MshrToken token : woken) {
-      Warp& w = warps_[static_cast<std::size_t>(token)];
+      const auto index = static_cast<std::uint32_t>(token);
+      Warp& w = warps_[index];
       w.OnTransactionDone();
       if (w.Quiescent()) {
         load_block_cycles += now - w.block_start();
         ++load_block_events;
+        SchedulerOf(index).OnWoken(index);
       }
     }
   }
@@ -59,7 +61,10 @@ void SmCore::IssueFrom(WarpScheduler& sched, Cycle now) {
     coalescer_.Transactions(*insn.pattern, warp.global_id(),
                             warp.iteration(), &op.lines);
     warp.AdvanceIssue(now);
-    if (op.type == AccessType::kLoad) warp.BlockOnMem(now);
+    if (op.type == AccessType::kLoad) {
+      warp.BlockOnMem(now);
+      sched.OnBlocked(w);
+    }
     ldst_.Commit();
     committed_mem_insns += cfg_.core.warp_size;
   } else if (insn.op == OpClass::kSfu) {
@@ -117,7 +122,9 @@ void SmCore::InjectBackgroundTraffic(Crossbar& icnt) {
 
 void SmCore::TickCore(Cycle now, Crossbar& icnt) {
   AcceptResponses(now, icnt);
-  ldst_.Tick(now, warps_);
+  woken_.clear();
+  ldst_.Tick(now, warps_, woken_);
+  for (std::uint32_t w : woken_) SchedulerOf(w).OnWoken(w);
 
   const std::uint64_t committed_before = committed_thread_insns;
   for (WarpScheduler& sched : schedulers_) IssueFrom(sched, now);

@@ -41,6 +41,10 @@ class SmCore {
   const L1DCache& l1d() const { return *l1d_; }
   const LdStUnit& ldst() const { return ldst_; }
   const std::vector<Warp>& warps() const { return warps_; }
+  const std::vector<WarpScheduler>& schedulers() const { return schedulers_; }
+  /// White-box tests only: changing a warp behind the core's back plants
+  /// the bookkeeping drift the invariant checker must catch.
+  std::vector<Warp>& mutable_warps() { return warps_; }
   SmId id() const { return id_; }
 
   // --- statistics ---
@@ -55,6 +59,10 @@ class SmCore {
   void IssueFrom(WarpScheduler& sched, Cycle now);
   void DrainOutgoing(Crossbar& icnt);
   void InjectBackgroundTraffic(Crossbar& icnt);
+  /// The scheduler that owns warp `w` (GPGPU-Sim's modulo split).
+  WarpScheduler& SchedulerOf(std::uint32_t w) {
+    return schedulers_[w % cfg_.core.num_schedulers];
+  }
 
   SimConfig cfg_;
   SmId id_;
@@ -65,6 +73,7 @@ class SmCore {
   LdStUnit ldst_;
   Coalescer coalescer_;
   std::uint32_t unfinished_warps_ = 0;      // warps not yet retired
+  std::vector<std::uint32_t> woken_;        // LD/ST wakes, reused per tick
   std::uint64_t other_traffic_credit_ = 0;  // committed insns since last pkt
   std::uint64_t other_traffic_rr_ = 0;      // destination rotation
 };

@@ -45,6 +45,9 @@ class Warp {
   /// No memory transactions pending anywhere in the machine.
   bool Quiescent() const { return outstanding_ == 0 && !mem_op_in_flight_; }
 
+  /// Blocked on a load until its transactions return (State::kWaitMem).
+  bool WaitingOnMem() const { return state_ == State::kWaitMem; }
+
   /// The instruction the warp would issue next. Pre: !Finished().
   const Instruction& Current() const { return program_->body()[body_idx_]; }
   std::uint64_t iteration() const { return iter_; }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "verify/oracle.h"
+
 namespace dlpsim {
 namespace {
 
@@ -254,6 +256,138 @@ TEST(L1DCache, ResetClearsEverything) {
 TEST(L1DCache, AccessResultNames) {
   EXPECT_STREQ(ToString(AccessResult::kHit), "hit");
   EXPECT_STREQ(ToString(AccessResult::kReservationFail), "reservation_fail");
+}
+
+// The same history on the memoized cache and on the un-memoized oracle.
+struct Twin {
+  explicit Twin(const L1DConfig& cfg) : cache(cfg), oracle(cfg) {}
+
+  AccessResult Access(const MemAccess& access, Cycle now) {
+    const AccessResult result = cache.Access(access, now);
+    EXPECT_EQ(result, oracle.Access(access, now)) << "addr " << access.addr;
+    return result;
+  }
+  void PopOutgoing() {
+    cache.PopOutgoing();
+    oracle.PopOutgoing();
+  }
+  void Fill(Addr block) {
+    std::vector<MshrToken> woken;
+    cache.Fill(L1DResponse{block, false, 0}, 0, woken);
+    oracle.Fill(block, false, 0, woken);
+  }
+  /// Fails `probe` by probing, then repeats it, which fails from the memo.
+  void FailTwice(const MemAccess& probe, Cycle now) {
+    ASSERT_EQ(Access(probe, now), AccessResult::kReservationFail);
+    ASSERT_TRUE(cache.RepeatsLastFailure(probe.addr / 128, probe.type));
+    ASSERT_EQ(Access(probe, now + 1), AccessResult::kReservationFail);
+  }
+  /// After a state change the retry must probe again and agree with the
+  /// oracle.
+  void ExpectFullRetry(const MemAccess& probe, Cycle now,
+                       AccessResult want) {
+    EXPECT_FALSE(cache.RepeatsLastFailure(probe.addr / 128, probe.type));
+    EXPECT_EQ(Access(probe, now), want);
+  }
+
+  L1DCache cache;
+  verify::OracleL1D oracle;
+};
+
+// Fails set 0 (blocks 0 and 2 reserved) for a load of block 4.
+void ReserveSetZero(Twin& t) {
+  ASSERT_EQ(t.Access(Load(0 * 128), 0), AccessResult::kMissIssued);
+  ASSERT_EQ(t.Access(Load(2 * 128), 0), AccessResult::kMissIssued);
+}
+
+// A failed access is retried after each kind of L1D state change. The
+// retry must take the full path, not the failed-access memo, and return
+// what the same history returns on the oracle. Events that free the
+// blocking resource must turn the failure into a success.
+TEST(L1DCache, RetryAfterEachStateChangeTakesTheFullPath) {
+  const MemAccess probe = Load(4 * 128, 0x40, 9);
+  {
+    SCOPED_TRACE("Fill");
+    Twin t(SmallConfig());
+    ReserveSetZero(t);
+    t.FailTwice(probe, 1);
+    t.Fill(0);  // block 0 becomes a clean victim
+    t.ExpectFullRetry(probe, 3, AccessResult::kMissIssued);
+  }
+  {
+    SCOPED_TRACE("PopOutgoing");
+    Twin t(SmallConfig());
+    for (Addr b = 1; b <= 4; ++b) {
+      ASSERT_EQ(t.Access(Store(b * 128), 0), AccessResult::kStoreSent);
+    }
+    const MemAccess store = Store(9 * 128);
+    t.FailTwice(store, 1);  // the miss queue is full
+    t.PopOutgoing();
+    t.ExpectFullRetry(store, 3, AccessResult::kStoreSent);
+  }
+  {
+    SCOPED_TRACE("completed access to the same set by another requester");
+    Twin t(SmallConfig());
+    ReserveSetZero(t);
+    t.PopOutgoing();
+    t.PopOutgoing();
+    t.Fill(0);
+    t.Fill(2);
+    ASSERT_EQ(t.Access(Store(0 * 128), 1), AccessResult::kStoreSent);
+    ASSERT_EQ(t.Access(Load(2 * 128, 0, 2), 1), AccessResult::kHit);
+    // Block 0 is dirty and least recent; with one free miss-queue slot it
+    // cannot be evicted (its writeback needs a second slot).
+    for (Addr b : {1u, 3u, 5u}) {
+      ASSERT_EQ(t.Access(Store(b * 128), 1), AccessResult::kStoreSent);
+    }
+    t.FailTwice(probe, 2);
+    // Another warp's hit makes block 0 most recent: clean block 2 is now
+    // the victim and needs one slot.
+    ASSERT_EQ(t.Access(Load(0 * 128, 0, 3), 4), AccessResult::kHit);
+    t.ExpectFullRetry(probe, 5, AccessResult::kMissIssued);
+  }
+  {
+    SCOPED_TRACE("Reset");
+    Twin t(SmallConfig());
+    ReserveSetZero(t);
+    t.FailTwice(probe, 1);
+    t.cache.Reset();
+    t.oracle = verify::OracleL1D(SmallConfig());  // history starts over
+    t.ExpectFullRetry(probe, 3, AccessResult::kMissIssued);
+  }
+  {
+    SCOPED_TRACE("InjectProtectedLifeFlip");
+    Twin t(SmallConfig(PolicyKind::kDlp));
+    ReserveSetZero(t);  // every way reserved: DLP stalls like Baseline
+    t.FailTwice(probe, 1);
+    t.cache.InjectProtectedLifeFlip(0, 0, 1);
+    t.ExpectFullRetry(probe, 3, AccessResult::kReservationFail);
+  }
+  {
+    SCOPED_TRACE("blackout start and expiry");
+    Twin t(SmallConfig());
+    ReserveSetZero(t);
+    t.FailTwice(probe, 1);
+    t.cache.InjectReservationBlackout(20);
+    EXPECT_FALSE(t.cache.RepeatsLastFailure(probe.addr / 128, probe.type));
+    t.Fill(0);
+    const MemAccess other = Load(6 * 128, 0x60, 7);
+    // Blackout failures return before the memo: they never populate it.
+    EXPECT_EQ(t.cache.Access(other, 10), AccessResult::kReservationFail);
+    EXPECT_FALSE(t.cache.RepeatsLastFailure(other.addr / 128, other.type));
+    t.ExpectFullRetry(other, 20, AccessResult::kMissIssued);
+  }
+  {
+    SCOPED_TRACE("white-box accessors");
+    Twin t(SmallConfig(PolicyKind::kDlp));
+    ReserveSetZero(t);
+    t.FailTwice(probe, 1);
+    t.cache.mutable_policy();
+    EXPECT_FALSE(t.cache.RepeatsLastFailure(probe.addr / 128, probe.type));
+    t.FailTwice(probe, 2);
+    t.cache.mutable_tda();
+    EXPECT_FALSE(t.cache.RepeatsLastFailure(probe.addr / 128, probe.type));
+  }
 }
 
 }  // namespace

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <vector>
+
+#include "sim/rng.h"
+
 namespace dlpsim {
 namespace {
 
@@ -306,6 +312,229 @@ TEST(Crossbar, IdleTracksAllStages) {
   EXPECT_FALSE(xbar.Idle());  // sits in the delivery queue
   xbar.PopForPartition(0);
   EXPECT_TRUE(xbar.Idle());
+}
+
+// The crossbar as it was before the wait FIFOs: every tick rescans each
+// due packet, delivers those whose queue has room and compacts the
+// blocked ones to the front of the in-flight queue. The reference for
+// Crossbar.MatchesRescanReference.
+class RescanCrossbar {
+ public:
+  RescanCrossbar(const IcntConfig& cfg, std::uint32_t num_cores,
+                 std::uint32_t num_partitions)
+      : cfg_(cfg),
+        core_ports_(num_cores),
+        partition_ports_(num_partitions),
+        to_partition_(num_partitions),
+        to_core_(num_cores) {}
+
+  bool CanInjectFromCore(std::uint32_t c) const {
+    return core_ports_[c].queue.size() < kInjectQueueCap;
+  }
+  void InjectFromCore(std::uint32_t c, const IcntPacket& p) {
+    core_ports_[c].queue.push_back(p);
+  }
+  bool CanInjectFromPartition(std::uint32_t p) const {
+    return partition_ports_[p].queue.size() < kInjectQueueCap;
+  }
+  void InjectFromPartition(std::uint32_t p, const IcntPacket& pkt) {
+    partition_ports_[p].queue.push_back(pkt);
+  }
+  bool HasForCore(std::uint32_t c) const { return !to_core_[c].empty(); }
+  bool HasForPartition(std::uint32_t p) const {
+    return !to_partition_[p].empty();
+  }
+  IcntPacket PopForCore(std::uint32_t c) { return Pop(to_core_[c]); }
+  IcntPacket PopForPartition(std::uint32_t p) {
+    return Pop(to_partition_[p]);
+  }
+  void InjectStallFor(std::uint64_t cycles) { stall_ += cycles; }
+
+  void Tick(Cycle now) {
+    if (stall_ > 0) {
+      --stall_;
+      return;
+    }
+    for (Port& p : core_ports_) TickPort(p, false, now);
+    for (Port& p : partition_ports_) TickPort(p, true, now);
+    std::size_t kept = 0;
+    std::size_t due = 0;
+    for (; due < flight_.size() && flight_[due].deliver_at <= now; ++due) {
+      const InFlight& f = flight_[due];
+      auto& queue = (f.to_core ? to_core_ : to_partition_)[f.pkt.dst];
+      if (queue.size() < kDeliveryQueueCap) {
+        queue.push_back(f.pkt);
+        ++packets_delivered;
+      } else {
+        if (kept != due) flight_[kept] = f;
+        ++kept;
+      }
+    }
+    flight_.erase(flight_.begin() + static_cast<std::ptrdiff_t>(kept),
+                  flight_.begin() + static_cast<std::ptrdiff_t>(due));
+    max_blocked = std::max(max_blocked, kept);
+  }
+
+  Crossbar::QueueDepths Depths() const {
+    Crossbar::QueueDepths d;
+    for (const Port& p : core_ports_) d.core_inject += p.queue.size();
+    for (const Port& p : partition_ports_) d.partition_inject += p.queue.size();
+    d.in_flight = flight_.size();
+    for (const auto& q : to_partition_) d.to_partition += q.size();
+    for (const auto& q : to_core_) d.to_core += q.size();
+    return d;
+  }
+
+  bool Idle() const {
+    const Crossbar::QueueDepths d = Depths();
+    return d.core_inject + d.partition_inject + d.in_flight +
+               d.to_partition + d.to_core ==
+           0;
+  }
+
+  std::uint64_t packets_delivered = 0;
+  std::size_t max_blocked = 0;  // most due packets blocked on one tick
+
+ private:
+  struct InFlight {
+    IcntPacket pkt;
+    Cycle deliver_at = 0;
+    bool to_core = false;
+  };
+  struct Port {
+    std::deque<IcntPacket> queue;
+    std::uint32_t sent_bytes = 0;
+  };
+
+  static IcntPacket Pop(std::deque<IcntPacket>& q) {
+    IcntPacket p = q.front();
+    q.pop_front();
+    return p;
+  }
+
+  void TickPort(Port& port, bool to_core, Cycle now) {
+    if (port.queue.empty()) return;
+    port.sent_bytes += cfg_.bytes_per_cycle_per_port;
+    if (port.sent_bytes < port.queue.front().bytes) return;
+    flight_.push_back(
+        InFlight{port.queue.front(), now + cfg_.latency, to_core});
+    port.queue.pop_front();
+    port.sent_bytes = 0;
+  }
+
+  IcntConfig cfg_;
+  std::vector<Port> core_ports_;
+  std::vector<Port> partition_ports_;
+  std::deque<InFlight> flight_;
+  std::vector<std::deque<IcntPacket>> to_partition_;
+  std::vector<std::deque<IcntPacket>> to_core_;
+  std::uint64_t stall_ = 0;
+
+  static constexpr std::size_t kInjectQueueCap = 8;
+  static constexpr std::size_t kDeliveryQueueCap = 16;
+};
+
+// The wait FIFOs against the rescan above, tick by tick: seeded traffic
+// from 4 cores and 3 partitions, consumers that leave some destinations
+// undrained for long stretches, and fabric stalls.
+TEST(Crossbar, MatchesRescanReference) {
+  constexpr std::uint32_t kCores = 4;
+  constexpr std::uint32_t kParts = 3;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    Rng rng(seed);
+    Crossbar xbar(FastIcnt(), kCores, kParts);
+    RescanCrossbar ref(FastIcnt(), kCores, kParts);
+    // Per destination (partitions, then cores): pops per tick, 0 while
+    // the consumer is stalled.
+    std::vector<std::uint64_t> drain(kCores + kParts, 1);
+    Addr next_addr = 0;
+    const auto same = [](const IcntPacket& a, const IcntPacket& b) {
+      return a.kind == b.kind && a.addr == b.addr && a.src == b.src &&
+             a.dst == b.dst && a.bytes == b.bytes;
+    };
+    const auto packet = [&](IcntPacket::Kind kind, std::uint32_t src,
+                            std::uint32_t dst) {
+      IcntPacket p;
+      p.kind = kind;
+      p.src = src;
+      p.dst = dst;
+      p.addr = next_addr++;
+      p.bytes = rng.Below(4) == 0 ? 136 : 8;
+      return p;
+    };
+
+    for (Cycle now = 1; now <= 6000; ++now) {
+      for (std::uint32_t c = 0; c < kCores; ++c) {
+        ASSERT_EQ(xbar.CanInjectFromCore(c), ref.CanInjectFromCore(c));
+        if (xbar.CanInjectFromCore(c) && rng.Below(3) != 0) {
+          // Half the requests hit partition 0, so its queue backs up.
+          const auto dst = static_cast<std::uint32_t>(
+              rng.Below(2) == 0 ? 0 : rng.Below(kParts));
+          const IcntPacket p = packet(IcntPacket::Kind::kReadRequest, c, dst);
+          xbar.InjectFromCore(c, p);
+          ref.InjectFromCore(c, p);
+        }
+      }
+      for (std::uint32_t part = 0; part < kParts; ++part) {
+        ASSERT_EQ(xbar.CanInjectFromPartition(part),
+                  ref.CanInjectFromPartition(part));
+        if (xbar.CanInjectFromPartition(part) && rng.Below(4) == 0) {
+          const IcntPacket p =
+              packet(IcntPacket::Kind::kReadReply, part,
+                     static_cast<std::uint32_t>(rng.Below(kCores)));
+          xbar.InjectFromPartition(part, p);
+          ref.InjectFromPartition(part, p);
+        }
+      }
+      if (rng.Below(500) == 0) {
+        const std::uint64_t cycles = 1 + rng.Below(30);
+        xbar.InjectStallFor(cycles);
+        ref.InjectStallFor(cycles);
+      }
+      for (std::uint64_t& d : drain) {
+        if (rng.Below(150) == 0) d = rng.Below(3);  // 0 stalls the consumer
+      }
+
+      xbar.Tick(now);
+      ref.Tick(now);
+
+      for (std::uint32_t part = 0; part < kParts; ++part) {
+        for (std::uint64_t k = 0; k < drain[part]; ++k) {
+          ASSERT_EQ(xbar.HasForPartition(part), ref.HasForPartition(part))
+              << "partition " << part << " cycle " << now;
+          if (!ref.HasForPartition(part)) break;
+          ASSERT_TRUE(same(xbar.PopForPartition(part),
+                           ref.PopForPartition(part)))
+              << "partition " << part << " cycle " << now;
+        }
+        ASSERT_EQ(xbar.HasForPartition(part), ref.HasForPartition(part));
+      }
+      for (std::uint32_t c = 0; c < kCores; ++c) {
+        for (std::uint64_t k = 0; k < drain[kParts + c]; ++k) {
+          ASSERT_EQ(xbar.HasForCore(c), ref.HasForCore(c))
+              << "core " << c << " cycle " << now;
+          if (!ref.HasForCore(c)) break;
+          ASSERT_TRUE(same(xbar.PopForCore(c), ref.PopForCore(c)))
+              << "core " << c << " cycle " << now;
+        }
+        ASSERT_EQ(xbar.HasForCore(c), ref.HasForCore(c));
+      }
+
+      const Crossbar::QueueDepths d = xbar.Depths();
+      const Crossbar::QueueDepths r = ref.Depths();
+      ASSERT_EQ(d.core_inject, r.core_inject) << "cycle " << now;
+      ASSERT_EQ(d.partition_inject, r.partition_inject) << "cycle " << now;
+      ASSERT_EQ(d.in_flight, r.in_flight) << "cycle " << now;
+      ASSERT_EQ(d.to_partition, r.to_partition) << "cycle " << now;
+      ASSERT_EQ(d.to_core, r.to_core) << "cycle " << now;
+      ASSERT_EQ(xbar.packets_delivered, ref.packets_delivered)
+          << "cycle " << now;
+      ASSERT_EQ(xbar.Idle(), ref.Idle()) << "cycle " << now;
+    }
+    // The stalled consumers really backed packets up behind full queues.
+    EXPECT_GT(ref.max_blocked, 20u);
+  }
 }
 
 }  // namespace

@@ -96,20 +96,45 @@ TEST(Observability, TimelineDeltasSumToFinalMetrics) {
 
 TEST(Observability, AttachingTracingDoesNotPerturbResults) {
   auto prog = SmallKernel();
-  for (PolicyKind policy :
-       {PolicyKind::kBaseline, PolicyKind::kStallBypass,
-        PolicyKind::kGlobalProtection, PolicyKind::kDlp}) {
-    SCOPED_TRACE(ToString(policy));
-    GpuSimulator plain(TinyGpu(policy), prog.get(), 4);
-    GpuSimulator traced(TinyGpu(policy), prog.get(), 4);
-    TraceSink sink(1u << 16);
-    TimelineSampler timeline(250);
-    traced.SetTraceSink(&sink);
-    traced.SetTimeline(&timeline);
-    const Metrics mp = plain.Run();
-    const Metrics mt = traced.Run();
-    // Bit-identical simulation: tracing is observation only.
-    EXPECT_EQ(mp.ToText(), mt.ToText());
+  // The default L1D never stalls this kernel; 2 MSHR entries and a
+  // 2-entry miss queue make Baseline retry thousands of times, so traced
+  // runs are compared where failed accesses repeat.
+  for (const bool stall_heavy : {false, true}) {
+    for (PolicyKind policy :
+         {PolicyKind::kBaseline, PolicyKind::kStallBypass,
+          PolicyKind::kGlobalProtection, PolicyKind::kDlp}) {
+      SCOPED_TRACE(::testing::Message() << ToString(policy)
+                                        << (stall_heavy ? " stall-heavy" : ""));
+      SimConfig cfg = TinyGpu(policy);
+      if (stall_heavy) {
+        cfg.l1d.mshr_entries = 2;
+        cfg.l1d.miss_queue_entries = 2;
+      }
+      GpuSimulator plain(cfg, prog.get(), 4);
+      GpuSimulator traced(cfg, prog.get(), 4);
+      TraceSink sink(1u << 16);
+      TimelineSampler timeline(250);
+      traced.SetTraceSink(&sink);
+      traced.SetTimeline(&timeline);
+      const Metrics mp = plain.Run();
+      const Metrics mt = traced.Run();
+      // Bit-identical simulation: tracing is observation only.
+      EXPECT_EQ(mp.ToText(), mt.ToText());
+      if (!stall_heavy) continue;
+      if (policy == PolicyKind::kBaseline) {
+        EXPECT_GT(mt.l1d_reservation_fails, 0u);
+      }
+      // Every failed access, memoized or probed, emits its access event.
+      ASSERT_EQ(sink.dropped(), 0u);
+      std::uint64_t failed_events = 0;
+      for (const TraceEvent& e : sink.OfKind(TraceEventKind::kAccess)) {
+        if (e.arg0 ==
+            static_cast<std::uint64_t>(AccessResult::kReservationFail)) {
+          ++failed_events;
+        }
+      }
+      EXPECT_EQ(failed_events, mt.l1d_reservation_fails);
+    }
   }
 }
 

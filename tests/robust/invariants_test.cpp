@@ -1,13 +1,18 @@
-// Invariant-checker tests: every check passes on a healthy cache, catches
-// a planted corruption, and never changes simulation results.
+// Invariant-checker tests: every check passes on a healthy cache and
+// engine, catches a planted corruption, and never changes simulation
+// results.
 #include "robust/invariants.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "core/l1d_cache.h"
 #include "gpu/simulator.h"
+#include "icnt/crossbar.h"
+#include "mem/dram.h"
+#include "mem/partition.h"
 #include "workloads/registry.h"
 
 namespace dlpsim::robust {
@@ -112,7 +117,7 @@ TEST(Invariants, CheckerThrowsStructuredErrorOnCorruptedGpu) {
     checker.CheckAll(gpu, gpu.core_cycles());
     FAIL() << "corruption not detected";
   } catch (const InvariantError& e) {
-    EXPECT_EQ(e.sm(), 1u);
+    EXPECT_EQ(e.where(), "sm1");
     EXPECT_EQ(e.check(), "pl_clamp");
     EXPECT_NE(std::string(e.what()).find("sm1"), std::string::npos);
   }
@@ -151,6 +156,143 @@ TEST(Invariants, CheckedRunMatchesUncheckedByteForByte) {
   EXPECT_GT(checker.checks_run(), 0u);
   EXPECT_EQ(checker.violations(), 0u);
   EXPECT_EQ(m.ToText(), ref.ToText());
+}
+
+// --- engine invariants (DESIGN.md section 5) ------------------------------
+
+TEST(Invariants, CatchesCrossbarPacketDueBeforeItsPredecessor) {
+  IcntConfig cfg;
+  cfg.latency = 8;
+  cfg.bytes_per_cycle_per_port = 32;
+  Crossbar xbar(cfg, 2, 2);
+  for (std::uint32_t c = 0; c < 2; ++c) {
+    IcntPacket p;
+    p.src = c;
+    p.dst = c;
+    xbar.InjectFromCore(c, p);
+    xbar.Tick(c + 1);  // the packets serialize on cycles 1 and 2
+  }
+  ASSERT_EQ(xbar.in_transit().size(), 2u);
+  EXPECT_EQ(CheckCrossbar(xbar), "");
+  // A per-packet hop latency: the second packet would land first.
+  xbar.mutable_in_transit()[1].deliver_at = 3;
+  EXPECT_NE(CheckCrossbar(xbar).find("icnt_order"), std::string::npos);
+}
+
+TEST(Invariants, CatchesDramCompletionOutOfIssueOrder) {
+  DramConfig cfg;
+  cfg.banks = 2;
+  cfg.row_bytes = 512;
+  DramChannel dram(cfg, 128);
+  dram.Enqueue(DramChannel::Request{0, false, 1});
+  dram.Enqueue(DramChannel::Request{4, false, 2});  // the other bank
+  for (Cycle now = 0; dram.in_service().size() < 2 && now < 100; ++now) {
+    dram.Tick(now);
+  }
+  ASSERT_EQ(dram.in_service().size(), 2u);
+  EXPECT_EQ(CheckDram(dram), "");
+  // A bank-local completion time that ignores the shared data bus.
+  auto& service = dram.mutable_in_service();
+  service[1].done_at = service[0].done_at - 1;
+  EXPECT_NE(CheckDram(dram).find("dram_order"), std::string::npos);
+}
+
+TEST(Invariants, CatchesReplyFifoOutOfOrder) {
+  SimConfig sim;
+  sim.num_partitions = 1;
+  MemoryPartition partition(sim, 0);
+  auto& replies = partition.mutable_l2_replies();
+  replies.push_back(MemoryPartition::PendingReply{IcntPacket{}, 40, 0});
+  replies.push_back(MemoryPartition::PendingReply{IcntPacket{}, 40, 1});
+  EXPECT_EQ(CheckPartition(partition), "");
+  // An L2 latency that shrank between two hits.
+  replies.push_back(MemoryPartition::PendingReply{IcntPacket{}, 30, 2});
+  EXPECT_NE(CheckPartition(partition).find("reply_order"), std::string::npos);
+}
+
+SimConfig TwoCoreGpu() {
+  SimConfig cfg = SimConfig::WithPolicy(PolicyKind::kBaseline);
+  cfg.num_cores = 2;
+  cfg.num_partitions = 2;
+  return cfg;
+}
+
+TEST(Invariants, CatchesFinishedCountDrift) {
+  ProgramBuilder b(2);
+  b.Alu(2).LoadPrivate(1);
+  auto prog = b.Build();
+  GpuSimulator gpu(TwoCoreGpu(), prog.get(), 3);
+  SmCore& core = gpu.cores()[0];
+  EXPECT_EQ(CheckSmCore(core), "");
+  // Retire every warp behind the core's back: its count never hears.
+  for (Warp& w : core.mutable_warps()) {
+    while (!w.Finished()) w.AdvanceIssue(0);
+  }
+  EXPECT_NE(CheckSmCore(core).find("finished_count"), std::string::npos);
+}
+
+TEST(Invariants, CatchesReadySetDrift) {
+  ProgramBuilder b(4);
+  b.Alu(2).LoadPrivate(2);
+  auto prog = b.Build();
+  {
+    GpuSimulator gpu(TwoCoreGpu(), prog.get(), 4);
+    SmCore& core = gpu.cores()[0];
+    // Blocked without telling its scheduler: still in the ready set.
+    core.mutable_warps()[1].BlockOnMem(0);
+    EXPECT_NE(CheckSmCore(core).find("waits on memory"), std::string::npos);
+  }
+  {
+    GpuSimulator gpu(TwoCoreGpu(), prog.get(), 4);
+    SmCore& core = gpu.cores()[0];
+    while (core.warps()[0].Quiescent() && !gpu.Done()) {
+      gpu.Step();
+      ASSERT_EQ(CheckSmCore(core), "");
+    }
+    ASSERT_TRUE(core.warps()[0].WaitingOnMem());
+    // Woken without telling its scheduler: missing from the ready set.
+    Warp& w = core.mutable_warps()[0];
+    w.OnMemOpDispatched();
+    while (w.outstanding() > 0) w.OnTransactionDone();
+    EXPECT_NE(CheckSmCore(core).find("missing"), std::string::npos);
+  }
+}
+
+TEST(Invariants, CheckAllNamesTheEngineComponent) {
+  GpuSimulator gpu(TwoCoreGpu(), nullptr, 1);
+  auto& replies = gpu.partitions()[1].mutable_l2_replies();
+  replies.push_back(MemoryPartition::PendingReply{IcntPacket{}, 9, 0});
+  replies.push_back(MemoryPartition::PendingReply{IcntPacket{}, 8, 1});
+  InvariantChecker checker(/*check_interval=*/1, /*throw_on_violation=*/true);
+  try {
+    checker.CheckAll(gpu, 0);
+    FAIL() << "disorder not detected";
+  } catch (const InvariantError& e) {
+    EXPECT_EQ(e.check(), "reply_order");
+    EXPECT_EQ(e.where(), "partition1");
+  }
+}
+
+// Every engine check holds on every core cycle of a run whose crossbar
+// keeps packets waiting behind full delivery queues.
+TEST(Invariants, EngineChecksHoldUnderBackpressure) {
+  const Workload wl = MakeWorkload("STR", 0.02);
+  SimConfig cfg = SimConfig::WithPolicy(PolicyKind::kDlp);
+  cfg.max_core_cycles = 100000;  // the run drains in about 3,300
+  GpuSimulator gpu(cfg, wl.program.get(), wl.warps_per_sm);
+  InvariantChecker checker(/*check_interval=*/1, /*throw_on_violation=*/true);
+  gpu.SetInvariantChecker(&checker);
+  std::size_t most_waiting = 0;
+  while (!gpu.Done() && gpu.core_cycles() < cfg.max_core_cycles) {
+    gpu.Step();
+    const Crossbar& icnt = gpu.icnt();
+    most_waiting = std::max(most_waiting, icnt.Depths().in_flight -
+                                              icnt.in_transit().size());
+  }
+  ASSERT_TRUE(gpu.Done());
+  EXPECT_GT(checker.checks_run(), 1000u);
+  EXPECT_EQ(checker.violations(), 0u);
+  EXPECT_GT(most_waiting, 100u);
 }
 
 TEST(Invariants, EnvKnobControlsChecker) {

@@ -51,15 +51,16 @@ class LdStUnitTest : public ::testing::Test {
   std::unique_ptr<LdStUnit> unit_;
   std::unique_ptr<Program> prog_;
   std::vector<Warp> warps_;
+  std::vector<std::uint32_t> woken_;
 };
 
 TEST_F(LdStUnitTest, DispatchesOneTransactionPerCycle) {
   warps_[0].BlockOnMem(0);
   Enqueue(0, {0, 128});
-  unit_->Tick(0, warps_);
+  unit_->Tick(0, warps_, woken_);
   EXPECT_EQ(cache_->stats().accesses, 1u);
   EXPECT_FALSE(unit_->Idle());  // second line still pending
-  unit_->Tick(1, warps_);
+  unit_->Tick(1, warps_, woken_);
   EXPECT_EQ(cache_->stats().accesses, 2u);
   EXPECT_TRUE(unit_->Idle());
   EXPECT_EQ(warps_[0].outstanding(), 2u);
@@ -68,8 +69,8 @@ TEST_F(LdStUnitTest, DispatchesOneTransactionPerCycle) {
 TEST_F(LdStUnitTest, WarpWakesAfterAllTransactionsReturn) {
   warps_[0].BlockOnMem(0);
   Enqueue(0, {0, 128});
-  unit_->Tick(0, warps_);
-  unit_->Tick(1, warps_);
+  unit_->Tick(0, warps_, woken_);
+  unit_->Tick(1, warps_, woken_);
   EXPECT_FALSE(warps_[0].Issueable(2));
   FillAll();
   EXPECT_TRUE(warps_[0].Issueable(2));
@@ -79,28 +80,28 @@ TEST_F(LdStUnitTest, HeadOfLineBlockingOnReservationFail) {
   // Fill set 0 with reserved lines: blocks 0 and 2 (2 sets, linear).
   warps_[0].BlockOnMem(0);
   Enqueue(0, {0 * 128, 2 * 128, 4 * 128});
-  unit_->Tick(0, warps_);
-  unit_->Tick(1, warps_);
+  unit_->Tick(0, warps_, woken_);
+  unit_->Tick(1, warps_, woken_);
   // Third transaction targets the fully reserved set 0 -> stall.
-  unit_->Tick(2, warps_);
+  unit_->Tick(2, warps_, woken_);
   EXPECT_EQ(unit_->stall_cycles, 1u);
   // An op from another warp behind the head cannot proceed either.
   warps_[1].BlockOnMem(3);
   Enqueue(1, {1 * 128});
-  unit_->Tick(3, warps_);
+  unit_->Tick(3, warps_, woken_);
   EXPECT_EQ(unit_->stall_cycles, 2u);
   EXPECT_EQ(unit_->queue_depth(), 2u);
 
   // Resolving the fills unblocks the pipeline.
   FillAll();
-  unit_->Tick(4, warps_);  // head's third transaction now reserves
-  unit_->Tick(5, warps_);  // second op dispatches
+  unit_->Tick(4, warps_, woken_);  // head's third transaction now reserves
+  unit_->Tick(5, warps_, woken_);  // second op dispatches
   EXPECT_TRUE(unit_->Idle());
 }
 
 TEST_F(LdStUnitTest, StoresAreFireAndForget) {
   Enqueue(0, {0}, AccessType::kStore);
-  unit_->Tick(0, warps_);
+  unit_->Tick(0, warps_, woken_);
   EXPECT_TRUE(unit_->Idle());
   EXPECT_TRUE(warps_[0].Issueable(1));  // never blocked
   EXPECT_EQ(warps_[0].outstanding(), 0u);
@@ -109,13 +110,13 @@ TEST_F(LdStUnitTest, StoresAreFireAndForget) {
 TEST_F(LdStUnitTest, AllHitLoadWakesWithoutOutstanding) {
   warps_[0].BlockOnMem(0);
   Enqueue(0, {0});
-  unit_->Tick(0, warps_);
+  unit_->Tick(0, warps_, woken_);
   FillAll();
   EXPECT_TRUE(warps_[0].Issueable(1));
   // Second access to the same line hits; the warp wakes on dispatch.
   warps_[1].BlockOnMem(1);
   Enqueue(1, {0});
-  unit_->Tick(1, warps_);
+  unit_->Tick(1, warps_, woken_);
   EXPECT_EQ(warps_[1].outstanding(), 0u);
   EXPECT_TRUE(warps_[1].Issueable(2));
 }
@@ -128,7 +129,7 @@ TEST_F(LdStUnitTest, SlotRingKeepsFifoOrderAcrossTheWrap) {
   std::vector<Addr> sent;
   Cycle now = 0;
   const auto tick = [&] {
-    unit_->Tick(now++, warps_);
+    unit_->Tick(now++, warps_, woken_);
     while (cache_->HasOutgoing()) sent.push_back(cache_->PopOutgoing().block);
   };
   for (std::uint32_t i = 0; i < n; ++i) {

@@ -26,12 +26,12 @@ class SchedulerTest : public ::testing::Test {
 };
 
 TEST_F(SchedulerTest, GtoPicksOldestInitially) {
-  WarpScheduler sched(SchedulerKind::kGto, 0, 1);
+  WarpScheduler sched(SchedulerKind::kGto, 0, 1, 6);
   EXPECT_EQ(sched.Pick(warps_, 0), 0u);
 }
 
 TEST_F(SchedulerTest, GtoStaysGreedyOnLastIssued) {
-  WarpScheduler sched(SchedulerKind::kGto, 0, 1);
+  WarpScheduler sched(SchedulerKind::kGto, 0, 1, 6);
   sched.OnIssued(3);
   EXPECT_EQ(sched.Pick(warps_, 0), 3u);  // greedy on warp 3
   // When warp 3 blocks, fall back to the oldest ready warp.
@@ -41,8 +41,8 @@ TEST_F(SchedulerTest, GtoStaysGreedyOnLastIssued) {
 
 TEST_F(SchedulerTest, GtoHonorsOwnershipPartition) {
   // Two schedulers: even warps belong to 0, odd to 1.
-  WarpScheduler s0(SchedulerKind::kGto, 0, 2);
-  WarpScheduler s1(SchedulerKind::kGto, 1, 2);
+  WarpScheduler s0(SchedulerKind::kGto, 0, 2, 6);
+  WarpScheduler s1(SchedulerKind::kGto, 1, 2, 6);
   EXPECT_EQ(s0.Pick(warps_, 0), 0u);
   EXPECT_EQ(s1.Pick(warps_, 0), 1u);
   warps_[0].BlockOnMem(0);
@@ -52,13 +52,13 @@ TEST_F(SchedulerTest, GtoHonorsOwnershipPartition) {
 }
 
 TEST_F(SchedulerTest, GtoReturnsInvalidWhenNothingReady) {
-  WarpScheduler sched(SchedulerKind::kGto, 0, 1);
+  WarpScheduler sched(SchedulerKind::kGto, 0, 1, 6);
   for (Warp& w : warps_) w.BlockOnMem(0);
   EXPECT_EQ(sched.Pick(warps_, 0), kInvalidIndex);
 }
 
 TEST_F(SchedulerTest, LrrRotatesThroughWarps) {
-  WarpScheduler sched(SchedulerKind::kLrr, 0, 1);
+  WarpScheduler sched(SchedulerKind::kLrr, 0, 1, 6);
   std::vector<std::uint32_t> picks;
   for (int i = 0; i < 6; ++i) {
     const std::uint32_t w = sched.Pick(warps_, 0);
@@ -71,14 +71,14 @@ TEST_F(SchedulerTest, LrrRotatesThroughWarps) {
 }
 
 TEST_F(SchedulerTest, LrrSkipsBlockedWarps) {
-  WarpScheduler sched(SchedulerKind::kLrr, 0, 1);
+  WarpScheduler sched(SchedulerKind::kLrr, 0, 1, 6);
   warps_[1].BlockOnMem(0);
   sched.OnIssued(0);
   EXPECT_EQ(sched.Pick(warps_, 0), 2u);
 }
 
 TEST_F(SchedulerTest, LrrHonorsPartition) {
-  WarpScheduler s1(SchedulerKind::kLrr, 1, 2);
+  WarpScheduler s1(SchedulerKind::kLrr, 1, 2, 6);
   EXPECT_EQ(s1.Pick(warps_, 0), 1u);
   s1.OnIssued(1);
   EXPECT_EQ(s1.Pick(warps_, 0), 3u);
@@ -89,7 +89,7 @@ TEST_F(SchedulerTest, LrrHonorsPartition) {
 }
 
 TEST_F(SchedulerTest, GtoGreedyEndsWhenWarpFinishes) {
-  WarpScheduler sched(SchedulerKind::kGto, 0, 1);
+  WarpScheduler sched(SchedulerKind::kGto, 0, 1, 2);
   ProgramBuilder b(1);
   b.Alu(1);
   auto tiny = b.Build();
@@ -103,10 +103,11 @@ TEST_F(SchedulerTest, GtoGreedyEndsWhenWarpFinishes) {
   EXPECT_EQ(sched.Pick(warps, 1), 1u);
 }
 
-// GTO's start index against a naive "greedy, else lowest owned issueable"
+// GTO's ready set against a naive "greedy, else lowest owned issueable"
 // scan. Warps run programs of different lengths and block, sleep and wake
-// at random, so they retire out of order and the retired prefix grows in
-// jumps.
+// at random, so they retire out of order; blocks and wakes reach the
+// scheduler through the notifications SmCore sends. 65 and 130 warps
+// spread one scheduler's set over several words.
 TEST(GtoScheduler, MatchesNaiveScanWhileWarpsRetireOutOfOrder) {
   std::vector<std::unique_ptr<Program>> programs;
   for (const std::uint32_t iters : {1u, 2u, 5u, 9u}) {
@@ -114,7 +115,7 @@ TEST(GtoScheduler, MatchesNaiveScanWhileWarpsRetireOutOfOrder) {
     b.Alu(2).Alu(1);
     programs.push_back(b.Build());
   }
-  for (const std::uint32_t num_warps : {1u, 5u, 48u, 64u}) {
+  for (const std::uint32_t num_warps : {1u, 5u, 48u, 64u, 65u, 130u}) {
     for (std::uint32_t num_scheds = 1; num_scheds <= 3; ++num_scheds) {
       for (std::uint64_t seed = 1; seed <= 4; ++seed) {
         SCOPED_TRACE(::testing::Message()
@@ -128,7 +129,7 @@ TEST(GtoScheduler, MatchesNaiveScanWhileWarpsRetireOutOfOrder) {
         std::vector<WarpScheduler> scheds;
         std::vector<std::uint32_t> last(num_scheds, kInvalidIndex);
         for (std::uint32_t s = 0; s < num_scheds; ++s) {
-          scheds.emplace_back(SchedulerKind::kGto, s, num_scheds);
+          scheds.emplace_back(SchedulerKind::kGto, s, num_scheds, num_warps);
         }
         const auto naive_pick = [&](std::uint32_t s, Cycle now) {
           if (last[s] != kInvalidIndex && warps[last[s]].Issueable(now)) {
@@ -138,6 +139,10 @@ TEST(GtoScheduler, MatchesNaiveScanWhileWarpsRetireOutOfOrder) {
             if (w % num_scheds == s && warps[w].Issueable(now)) return w;
           }
           return kInvalidIndex;
+        };
+        // SmCore's wake rule: a warp stops waiting once it is quiescent.
+        const auto wake_if_quiescent = [&](std::uint32_t w) {
+          if (warps[w].Quiescent()) scheds[w % num_scheds].OnWoken(w);
         };
 
         std::vector<std::uint32_t> retire_order;
@@ -153,11 +158,12 @@ TEST(GtoScheduler, MatchesNaiveScanWhileWarpsRetireOutOfOrder) {
             last[s] = w;
             if (warp.Finished()) retire_order.push_back(w);
             switch (rng.Below(6)) {
-              case 0:  // a load with 1-3 transactions in flight
+              case 0:  // a load with 0-3 transactions left in flight
                 warp.BlockOnMem(now);
-                warp.AddOutstanding(1 + static_cast<std::uint32_t>(
-                                            rng.Below(3)));
+                scheds[s].OnBlocked(w);
+                warp.AddOutstanding(static_cast<std::uint32_t>(rng.Below(4)));
                 warp.OnMemOpDispatched();
+                wake_if_quiescent(w);
                 break;
               case 1:
                 warp.BusyFor(now, 1 + rng.Below(20));
@@ -166,9 +172,10 @@ TEST(GtoScheduler, MatchesNaiveScanWhileWarpsRetireOutOfOrder) {
                 break;
             }
           }
-          for (Warp& warp : warps) {
-            if (warp.outstanding() > 0 && rng.Below(4) == 0) {
-              warp.OnTransactionDone();
+          for (std::uint32_t w = 0; w < num_warps; ++w) {
+            if (warps[w].outstanding() > 0 && rng.Below(4) == 0) {
+              warps[w].OnTransactionDone();
+              wake_if_quiescent(w);
             }
           }
         }

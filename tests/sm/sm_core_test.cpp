@@ -1,5 +1,6 @@
-// SmCore's finished-warp count and drain check against a brute-force walk
-// of the state they summarize, on every core cycle of whole runs.
+// SmCore's finished-warp count, drain check and schedulers' ready sets
+// against a brute-force walk of the state they summarize, on every core
+// cycle of whole runs.
 #include "sm/sm_core.h"
 
 #include <gtest/gtest.h>
@@ -8,6 +9,7 @@
 #include <tuple>
 
 #include "gpu/simulator.h"
+#include "robust/invariants.h"
 #include "workloads/registry.h"
 
 namespace dlpsim {
@@ -51,6 +53,8 @@ TEST_P(SmCoreBookkeeping, FinishedAndDrainedMatchBruteForceEveryCycle) {
       ASSERT_EQ(core.Finished(), NaiveFinished(core))
           << "core " << core.id() << " cycle " << checked;
       ASSERT_EQ(core.Drained(), NaiveDrained(core))
+          << "core " << core.id() << " cycle " << checked;
+      ASSERT_EQ(robust::CheckSmCore(core), "")
           << "core " << core.id() << " cycle " << checked;
       if (core.Finished()) ++finished_core_cycles;
     }
