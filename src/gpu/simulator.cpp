@@ -110,7 +110,10 @@ void GpuSimulator::Step() {
     if (domain == mem_domain_) {
       obs::ProfileSpan span(profiler_, obs::Phase::kMemTick);
       const Cycle now = clocks_.cycles(mem_domain_);
-      for (MemoryPartition& p : partitions_) p.Tick(now, icnt_);
+      // Skip partitions whose Tick is provably a no-op (nothing due).
+      for (MemoryPartition& p : partitions_) {
+        if (p.Due(now, icnt_)) p.Tick(now, icnt_);
+      }
     } else if (domain == icnt_domain_) {
       obs::ProfileSpan span(profiler_, obs::Phase::kIcntTick);
       icnt_.Tick(clocks_.cycles(icnt_domain_));

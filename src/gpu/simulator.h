@@ -134,6 +134,7 @@ class GpuSimulator {
     return partitions_;
   }
   Cycle core_cycles() const { return clocks_.cycles(core_domain_); }
+  Cycle mem_cycles() const { return clocks_.cycles(mem_domain_); }
 
  private:
   SimConfig cfg_;

@@ -48,10 +48,6 @@ void Crossbar::InjectFromCore(std::uint32_t core, const IcntPacket& pkt) {
   core_ports_[core].queue.push_back(pkt);
 }
 
-bool Crossbar::CanInjectFromPartition(std::uint32_t part) const {
-  return partition_ports_[part].queue.size() < kInjectQueueCap;
-}
-
 void Crossbar::InjectFromPartition(std::uint32_t part, const IcntPacket& pkt) {
   assert(CanInjectFromPartition(part));
   bytes_mem_to_core += pkt.bytes;
@@ -68,10 +64,6 @@ IcntPacket Crossbar::PopForCore(std::uint32_t core) {
   IcntPacket pkt = to_core_[core].front();
   to_core_[core].pop_front();
   return pkt;
-}
-
-bool Crossbar::HasForPartition(std::uint32_t part) const {
-  return !to_partition_[part].empty();
 }
 
 IcntPacket Crossbar::PopForPartition(std::uint32_t part) {

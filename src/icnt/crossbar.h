@@ -49,9 +49,13 @@ class Crossbar {
   IcntPacket PopForCore(std::uint32_t core);
 
   // --- partition side ---
-  bool CanInjectFromPartition(std::uint32_t part) const;
+  bool CanInjectFromPartition(std::uint32_t part) const {
+    return partition_ports_[part].queue.size() < kInjectQueueCap;
+  }
   void InjectFromPartition(std::uint32_t part, const IcntPacket& pkt);
-  bool HasForPartition(std::uint32_t part) const;
+  bool HasForPartition(std::uint32_t part) const {
+    return !to_partition_[part].empty();
+  }
   IcntPacket PopForPartition(std::uint32_t part);
 
   /// Advances one interconnect cycle.

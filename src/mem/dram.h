@@ -3,6 +3,7 @@
 // data bus whose occupancy bounds the partition's bandwidth.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <limits>
@@ -35,6 +36,15 @@ class DramChannel {
   /// Advances one memory-domain cycle; returns completions that finished
   /// at or before `now`.
   std::vector<Completion> Tick(Cycle now);
+
+  /// The earliest memory cycle on which Tick does anything: a queued
+  /// request's bank comes free, or the oldest request in service
+  /// completes. Tick is a no-op before it (max while Idle()).
+  Cycle NextEvent() const {
+    return in_service_.empty()
+               ? first_bank_free_
+               : std::min(first_bank_free_, in_service_.front().done_at);
+  }
 
   bool Idle() const { return queue_.empty() && in_service_.empty(); }
   std::size_t queue_depth() const { return queue_.size(); }

@@ -1,5 +1,6 @@
 #include "mem/partition.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace dlpsim {
@@ -126,6 +127,20 @@ void MemoryPartition::Tick(Cycle now, Crossbar& icnt) {
   }
 
   PushReplies(now, icnt);
+  next_due_ = NextDue(now);
+}
+
+Cycle MemoryPartition::NextDue(Cycle now) const {
+  // The DRAM backlog needs no term: Tick leaves it non-empty only behind a
+  // full DRAM queue, which frees no earlier than the channel's next event.
+  Cycle due = dram_.NextEvent();
+  if (!l2_replies_.empty()) due = std::min(due, l2_replies_.front().ready_at);
+  if (!dram_replies_.empty()) {
+    due = std::min(due, dram_replies_.front().ready_at);
+  }
+  // An L2-stalled retry counts reservation_fails on every cycle.
+  if (!retry_.empty()) due = std::min(due, now + 1);
+  return due;
 }
 
 MemoryPartition::QueueDepths MemoryPartition::Depths() const {

@@ -24,6 +24,20 @@ class MemoryPartition {
   /// its partition port has room.
   void Tick(Cycle now_mem, Crossbar& icnt);
 
+  /// False only when Tick(now_mem, icnt) would be a no-op, so the caller
+  /// may skip it: no DRAM event, reply or retry falls due before
+  /// next_due(), no fault stall is counting down and the crossbar holds
+  /// no packet for this partition. The last two are read live, so
+  /// nothing outside Tick has to wake the partition.
+  bool Due(Cycle now_mem, const Crossbar& icnt) const {
+    return next_due_ <= now_mem || fault_stall_cycles_ > 0 ||
+           icnt.HasForPartition(id_);
+  }
+  /// The earliest memory cycle on which queued work falls due, as of the
+  /// last Tick: the DRAM channel's next event, the head of either reply
+  /// FIFO, or the next cycle while a request waits to retry.
+  Cycle next_due() const { return next_due_; }
+
   bool Idle() const;
 
   /// Fault-injection hook (robust/): the partition ignores the next
@@ -63,6 +77,7 @@ class MemoryPartition {
                      Cycle ready_at);
   void PushReplies(Cycle now, Crossbar& icnt);
   void HandleDramCompletions(Cycle now);
+  Cycle NextDue(Cycle now) const;
 
   SimConfig cfg_;
   PartitionId id_;
@@ -76,6 +91,7 @@ class MemoryPartition {
   std::deque<IcntPacket> retry_;         // requests stalled by the L2
   std::deque<DramChannel::Request> dram_backlog_;  // L2 misses / writes
   std::uint64_t fault_stall_cycles_ = 0;           // robust/: ticks to swallow
+  Cycle next_due_ = 0;  // a new partition is due on its first cycle
 };
 
 }  // namespace dlpsim

@@ -209,17 +209,38 @@ std::string CheckDram(const DramChannel& dram) {
                     service[i - 1].done_at, service[i].done_at);
 }
 
-std::string CheckPartition(const MemoryPartition& partition) {
+std::string CheckPartition(const MemoryPartition& partition, Cycle now_mem) {
   std::string violation = CheckDram(partition.dram());
   if (!violation.empty()) return violation;
-  for (const auto* fifo :
-       {&partition.l2_replies(), &partition.dram_replies()}) {
+  const std::deque<MemoryPartition::PendingReply>* const fifos[] = {
+      &partition.l2_replies(), &partition.dram_replies()};
+  for (const auto* fifo : fifos) {
     const std::size_t j =
         FirstDisorder(*fifo, &MemoryPartition::PendingReply::ready_at);
     if (j != std::string::npos) {
       return DisorderAt("reply_order", "reply", j, (*fifo)[j - 1].ready_at,
                         (*fifo)[j].ready_at);
     }
+  }
+  // GpuSimulator skips a partition's tick until next_due(): work that
+  // falls due earlier would be served late.
+  const Cycle due = partition.next_due();
+  const auto late = [due](const char* what, Cycle at) {
+    std::ostringstream os;
+    os << "next_due: " << what << " falls due at " << at
+       << ", before the partition's next due cycle " << due;
+    return os.str();
+  };
+  if (partition.dram().NextEvent() < due) {
+    return late("the DRAM channel's next event", partition.dram().NextEvent());
+  }
+  for (const auto* fifo : fifos) {
+    if (!fifo->empty() && fifo->front().ready_at < due) {
+      return late("a reply", fifo->front().ready_at);
+    }
+  }
+  if (partition.Depths().retry > 0 && due > now_mem + 1) {
+    return late("a request waiting to retry", now_mem + 1);
   }
   return "";
 }
@@ -246,7 +267,8 @@ void InvariantChecker::CheckAll(const GpuSimulator& gpu, Cycle now) {
   }
   Report("icnt", CheckCrossbar(gpu.icnt()));
   for (const MemoryPartition& p : gpu.partitions()) {
-    Report("partition" + std::to_string(p.id()), CheckPartition(p));
+    Report("partition" + std::to_string(p.id()),
+           CheckPartition(p, gpu.mem_cycles()));
   }
 }
 

@@ -85,9 +85,12 @@ std::string CheckSmCore(const SmCore& core);
 std::string CheckCrossbar(const Crossbar& icnt);
 /// DRAM requests in service complete in issue order ("dram_order").
 std::string CheckDram(const DramChannel& dram);
-/// CheckDram on the partition's channel, and each reply FIFO is ordered
-/// by ready_at ("reply_order").
-std::string CheckPartition(const MemoryPartition& partition);
+/// CheckDram on the partition's channel; each reply FIFO is ordered by
+/// ready_at ("reply_order"); and no queued work falls due before the
+/// partition's next_due(), which is at most `now_mem + 1` (the cycle
+/// after the last memory cycle ticked) while a request waits to retry
+/// ("next_due").
+std::string CheckPartition(const MemoryPartition& partition, Cycle now_mem);
 
 class InvariantChecker {
  public:

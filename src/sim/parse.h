@@ -4,6 +4,7 @@
 #pragma once
 
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <string_view>
@@ -33,6 +34,20 @@ bool ParseUnsigned(std::string_view s, T* out) {
     return false;
   }
   *out = static_cast<T>(v);
+  return true;
+}
+
+/// Parses all of `s` as a finite number above zero, in decimal or
+/// scientific notation. A sign, whitespace, a trailing byte, "inf", "nan"
+/// or a value <= 0 returns false and leaves `*out` untouched.
+inline bool ParsePositiveDouble(std::string_view s, double* out) {
+  double v = 0.0;
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  if (ec != std::errc() || ptr != end || !std::isfinite(v) || v <= 0.0) {
+    return false;
+  }
+  *out = v;
   return true;
 }
 

@@ -5,6 +5,9 @@
 #include <deque>
 #include <vector>
 
+#include "cache/stats.h"
+#include "sim/rng.h"
+
 namespace dlpsim {
 namespace {
 
@@ -227,6 +230,170 @@ TEST(MemoryPartition, IdleWhenDrained) {
   IcntPacket reply;
   ASSERT_TRUE(RunForReply(part, icnt, &reply));
   EXPECT_TRUE(part.Idle());
+}
+
+// One crossbar and its partitions, for the lockstep test below.
+struct PartitionRig {
+  explicit PartitionRig(const SimConfig& cfg)
+      : icnt(cfg.icnt, cfg.num_cores, cfg.num_partitions) {
+    for (PartitionId p = 0; p < cfg.num_partitions; ++p) {
+      parts.emplace_back(cfg, p);
+    }
+  }
+  Crossbar icnt;
+  std::vector<MemoryPartition> parts;
+};
+
+// GpuSimulator ticks a partition only while it is Due. Rig A ticks every
+// partition on every cycle, rig B only the due ones, under one seeded
+// stream of reads, writes and background packets: bursts that overflow
+// a small L2 MSHR (retries) and a one-bank DRAM queue (backlog), dirty
+// L2 evictions, fabric stalls that fill the partitions' injection ports,
+// stalled core-side consumers and injected partition stalls. Everything
+// observable must match on every cycle.
+TEST(MemoryPartition, SkippingTicksThatAreNotDueMatchesTickingEveryCycle) {
+  SimConfig cfg = FastConfig();
+  cfg.num_cores = 4;
+  cfg.num_partitions = 3;
+  cfg.l2.geom = CacheGeometry{8, 4, 128, IndexFunction::kLinear};
+  cfg.l2.mshr_entries = 4;
+  cfg.l2.mshr_max_merged = 2;
+  cfg.l2.latency = 6;
+  cfg.dram.banks = 1;  // bank conflicts fill the DRAM queue
+  constexpr Addr kBlocks = 96;  // a small pool: L2 hits and dirty evictions
+  std::uint64_t ticks = 0, skipped = 0, retries = 0, blocked_l2 = 0,
+                blocked_dram = 0, backlogs = 0, stalls = 0;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    Rng rng(seed);
+    PartitionRig a(cfg);
+    PartitionRig b(cfg);
+    std::vector<std::uint64_t> drain(cfg.num_cores, 1);  // pops per cycle
+    MshrToken next_token = 1;
+    Cycle icnt_now = 0;
+    Cycle burst_end = 0;
+    std::uint64_t reads = 0;  // per 10 packets in this burst
+    for (Cycle now = 1; now <= 12000; ++now) {
+      // Read-heavy and write-heavy bursts separated by quiet stretches.
+      if (now >= burst_end + 400 && rng.Below(200) == 0) {
+        burst_end = now + 50 + rng.Below(150);
+        reads = rng.Below(2) == 0 ? 1 : 6;
+      }
+      for (std::uint32_t c = 0; c < cfg.num_cores; ++c) {
+        ASSERT_EQ(a.icnt.CanInjectFromCore(c), b.icnt.CanInjectFromCore(c));
+        if (now >= burst_end || !a.icnt.CanInjectFromCore(c) ||
+            rng.Below(2) == 0) {
+          continue;
+        }
+        IcntPacket p;
+        const std::uint64_t kind = rng.Below(10);
+        p.kind = kind < reads ? IcntPacket::Kind::kReadRequest
+                 : kind < 8   ? IcntPacket::Kind::kWrite
+                              : IcntPacket::Kind::kOther;
+        p.addr = rng.Below(kBlocks) * 128;
+        p.src = c;
+        // Half the packets go to partition 0, so its queues back up.
+        p.dst = static_cast<std::uint32_t>(
+            rng.Below(2) == 0 ? 0 : rng.Below(cfg.num_partitions));
+        p.token = next_token++;
+        p.bytes = p.kind == IcntPacket::Kind::kWrite ? 136
+                  : p.kind == IcntPacket::Kind::kOther
+                      ? static_cast<std::uint32_t>(8 + rng.Below(64))
+                      : 8;
+        a.icnt.InjectFromCore(c, p);
+        b.icnt.InjectFromCore(c, p);
+      }
+      if (rng.Below(400) == 0) {
+        // A fabric stall backs replies up behind full partition ports.
+        const std::uint64_t cycles = 1 + rng.Below(150);
+        a.icnt.InjectStallFor(cycles);
+        b.icnt.InjectStallFor(cycles);
+      }
+      if (rng.Below(300) == 0) {
+        const auto part = rng.Below(cfg.num_partitions);
+        const std::uint64_t cycles = 1 + rng.Below(40);
+        if (!a.parts[part].Idle()) ++stalls;
+        a.parts[part].InjectStallFor(cycles);
+        b.parts[part].InjectStallFor(cycles);
+      }
+      for (std::uint64_t& d : drain) {
+        if (rng.Below(150) == 0) d = rng.Below(3);  // 0 stalls the consumer
+      }
+
+      for (std::uint32_t p = 0; p < cfg.num_partitions; ++p) {
+        a.parts[p].Tick(now, a.icnt);
+        ++ticks;
+        if (b.parts[p].Due(now, b.icnt)) {
+          b.parts[p].Tick(now, b.icnt);
+        } else {
+          ++skipped;
+        }
+        const MemoryPartition& part = a.parts[p];
+        const auto ready = [now](const auto& fifo) {
+          return !fifo.empty() && fifo.front().ready_at <= now;
+        };
+        if (!a.icnt.CanInjectFromPartition(p)) {
+          if (ready(part.l2_replies())) ++blocked_l2;
+          if (ready(part.dram_replies())) ++blocked_dram;
+        }
+        if (part.Depths().retry > 0) ++retries;
+        if (part.Depths().dram_backlog > 0) ++backlogs;
+      }
+      // The interconnect runs on 2 of every 3 memory cycles.
+      if (now % 3 != 0) {
+        ++icnt_now;
+        a.icnt.Tick(icnt_now);
+        b.icnt.Tick(icnt_now);
+      }
+
+      for (std::uint32_t c = 0; c < cfg.num_cores; ++c) {
+        for (std::uint64_t k = 0; k < drain[c]; ++k) {
+          ASSERT_EQ(a.icnt.HasForCore(c), b.icnt.HasForCore(c))
+              << "core " << c << " cycle " << now;
+          if (!a.icnt.HasForCore(c)) break;
+          const IcntPacket ra = a.icnt.PopForCore(c);
+          const IcntPacket rb = b.icnt.PopForCore(c);
+          ASSERT_EQ(ra.token, rb.token) << "core " << c << " cycle " << now;
+          ASSERT_EQ(ra.addr, rb.addr) << "core " << c << " cycle " << now;
+        }
+      }
+
+      for (std::uint32_t p = 0; p < cfg.num_partitions; ++p) {
+        SCOPED_TRACE(::testing::Message()
+                     << "partition " << p << " cycle " << now);
+        const MemoryPartition& pa = a.parts[p];
+        const MemoryPartition& pb = b.parts[p];
+        const MemoryPartition::QueueDepths da = pa.Depths();
+        const MemoryPartition::QueueDepths db = pb.Depths();
+        ASSERT_EQ(da.retry, db.retry);
+        ASSERT_EQ(da.replies, db.replies);
+        ASSERT_EQ(da.dram_backlog, db.dram_backlog);
+        ASSERT_EQ(da.dram_queue, db.dram_queue);
+        ASSERT_EQ(da.dram_in_service, db.dram_in_service);
+        ASSERT_EQ(da.l2_pending, db.l2_pending);
+        for (const CacheStatsField& f : CacheStatsFields()) {
+          ASSERT_EQ(pa.l2().stats().*f.member, pb.l2().stats().*f.member)
+              << f.name;
+        }
+        ASSERT_EQ(pa.dram().reads, pb.dram().reads);
+        ASSERT_EQ(pa.dram().writes, pb.dram().writes);
+        ASSERT_EQ(pa.dram().row_hits, pb.dram().row_hits);
+        ASSERT_EQ(pa.dram().row_misses, pb.dram().row_misses);
+        ASSERT_EQ(pa.requests_served, pb.requests_served);
+        ASSERT_EQ(pa.Idle(), pb.Idle());
+      }
+      ASSERT_EQ(a.icnt.packets_delivered, b.icnt.packets_delivered)
+          << "cycle " << now;
+    }
+  }
+  // The stream reached every source of partition work, and most ticks
+  // found nothing due.
+  EXPECT_GT(retries, 0u);
+  EXPECT_GT(blocked_l2, 0u);
+  EXPECT_GT(blocked_dram, 0u);
+  EXPECT_GT(backlogs, 0u);
+  EXPECT_GT(stalls, 0u);
+  EXPECT_GT(skipped * 2, ticks) << skipped << " of " << ticks << " skipped";
 }
 
 }  // namespace

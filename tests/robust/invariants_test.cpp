@@ -204,10 +204,11 @@ TEST(Invariants, CatchesReplyFifoOutOfOrder) {
   auto& replies = partition.mutable_l2_replies();
   replies.push_back(MemoryPartition::PendingReply{IcntPacket{}, 40, 0});
   replies.push_back(MemoryPartition::PendingReply{IcntPacket{}, 40, 1});
-  EXPECT_EQ(CheckPartition(partition), "");
+  EXPECT_EQ(CheckPartition(partition, 0), "");
   // An L2 latency that shrank between two hits.
   replies.push_back(MemoryPartition::PendingReply{IcntPacket{}, 30, 2});
-  EXPECT_NE(CheckPartition(partition).find("reply_order"), std::string::npos);
+  EXPECT_NE(CheckPartition(partition, 0).find("reply_order"),
+            std::string::npos);
 }
 
 SimConfig TwoCoreGpu() {
@@ -269,6 +270,27 @@ TEST(Invariants, CheckAllNamesTheEngineComponent) {
     FAIL() << "disorder not detected";
   } catch (const InvariantError& e) {
     EXPECT_EQ(e.check(), "reply_order");
+    EXPECT_EQ(e.where(), "partition1");
+  }
+}
+
+TEST(Invariants, CatchesPartitionDueAfterItsWork) {
+  GpuSimulator gpu(TwoCoreGpu(), nullptr, 1);
+  gpu.Step();  // the first memory cycle finds nothing due anywhere
+  MemoryPartition& partition = gpu.partitions()[1];
+  const Cycle ready_at = gpu.mem_cycles() + 10;
+  ASSERT_GT(partition.next_due(), ready_at);
+  InvariantChecker checker(/*check_interval=*/1, /*throw_on_violation=*/true);
+  checker.CheckAll(gpu, gpu.core_cycles());
+  // A reply scheduled behind the partition's back: its tick would be
+  // skipped past the cycle the reply falls due.
+  partition.mutable_l2_replies().push_back(
+      MemoryPartition::PendingReply{IcntPacket{}, ready_at, 0});
+  try {
+    checker.CheckAll(gpu, gpu.core_cycles());
+    FAIL() << "reply due before next_due() not detected";
+  } catch (const InvariantError& e) {
+    EXPECT_EQ(e.check(), "next_due");
     EXPECT_EQ(e.where(), "partition1");
   }
 }

@@ -63,6 +63,39 @@ TEST(ParseU64, UnsignedRejectsValuesAboveTheTargetType) {
   EXPECT_EQ(i, INT_MAX);
 }
 
+TEST(ParsePositiveDouble, AcceptsWholeFinitePositiveNumbersOnly) {
+  struct Case {
+    std::string text;
+    bool ok;
+    double value;
+  };
+  const Case cases[] = {
+      {"5", true, 5.0},
+      {"0.05", true, 0.05},
+      {".5", true, 0.5},
+      {"1e-3", true, 1e-3},
+      {"75", true, 75.0},
+      {"", false, 0},
+      {"0", false, 0},
+      {"-1", false, 0},
+      {"+1", false, 0},
+      {" 1", false, 0},
+      {"1 ", false, 0},
+      {"5%", false, 0},
+      {"0.1x", false, 0},
+      {"inf", false, 0},
+      {"nan", false, 0},
+      {"1e999", false, 0},
+      {"x", false, 0},
+  };
+  for (const Case& c : cases) {
+    double v = 99.0;
+    EXPECT_EQ(ParsePositiveDouble(c.text, &v), c.ok) << '"' << c.text << '"';
+    // A rejected value leaves the output untouched.
+    EXPECT_EQ(v, c.ok ? c.value : 99.0) << '"' << c.text << '"';
+  }
+}
+
 TEST(EnvU64, MalformedValuesFallBack) {
   const char* name = "DLPSIM_SERVER_WORKERS";
   const char* saved = std::getenv(name);

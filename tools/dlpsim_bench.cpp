@@ -42,6 +42,7 @@
 #include "harness.h"
 #include "obs/json.h"
 #include "obs/profiler.h"
+#include "sim/parse.h"
 #include "trace/recorder.h"
 #include "trace/source.h"
 #include "trace/text.h"
@@ -88,6 +89,11 @@ void Usage(std::ostream& os) {
 }
 
 bool ParseArgs(int argc, char** argv, Options* opt) {
+  const auto bad = [](const char* flag, const char* want, const char* v) {
+    std::cerr << "dlpsim_bench: " << flag << " needs " << want << ", got '"
+              << v << "'\n";
+    return false;
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&](const char* flag) -> const char* {
@@ -111,20 +117,28 @@ bool ParseArgs(int argc, char** argv, Options* opt) {
     } else if (arg == "--max-regress") {
       const char* v = next("--max-regress");
       if (v == nullptr) return false;
-      opt->max_regress_pct = std::stod(v);
+      if (!dlpsim::ParsePositiveDouble(v, &opt->max_regress_pct)) {
+        return bad("--max-regress", "a positive number", v);
+      }
     } else if (arg == "--repeat") {
       const char* v = next("--repeat");
       if (v == nullptr) return false;
-      opt->repeat = std::stoi(v);
+      if (!dlpsim::ParseUnsigned(v, &opt->repeat)) {
+        return bad("--repeat", "a whole number", v);
+      }
       if (opt->repeat < 1) opt->repeat = 1;
     } else if (arg == "--scale") {
       const char* v = next("--scale");
       if (v == nullptr) return false;
-      opt->scale = std::stod(v);
+      if (!dlpsim::ParsePositiveDouble(v, &opt->scale)) {
+        return bad("--scale", "a positive number", v);
+      }
     } else if (arg == "--bench-id") {
       const char* v = next("--bench-id");
       if (v == nullptr) return false;
-      opt->bench_id = std::stoi(v);
+      if (!dlpsim::ParseUnsigned(v, &opt->bench_id)) {
+        return bad("--bench-id", "a whole number", v);
+      }
     } else if (arg == "--apps") {
       const char* v = next("--apps");
       if (v == nullptr) return false;
