@@ -106,6 +106,16 @@ PolicySnapshot GpuSimulator::SnapshotPolicy() const {
 }
 
 void GpuSimulator::Step() {
+  Advance();
+  SyncCores();
+}
+
+void GpuSimulator::SyncCores() {
+  const Cycle now = clocks_.cycles(core_domain_);
+  for (SmCore& core : cores_) core.CatchUp(now);
+}
+
+void GpuSimulator::Advance() {
   for (std::uint32_t domain : clocks_.Tick()) {
     if (domain == mem_domain_) {
       obs::ProfileSpan span(profiler_, obs::Phase::kMemTick);
@@ -129,10 +139,12 @@ void GpuSimulator::Step() {
       // pending background credit, and -- since they have no outstanding
       // loads -- no replies can be routed to them). When every core is
       // inactive the whole domain fast-forwards: the tick only advances
-      // the cycle count while icnt/mem drain.
+      // the cycle count while icnt/mem drain. An active core ticks only
+      // when Due; its next tick applies the cycles it skipped, so every
+      // read of core state below calls SyncCores first.
       if (num_inactive_ != cores_.size()) {
         for (std::size_t i = 0; i < cores_.size(); ++i) {
-          if (core_inactive_[i] != 0) continue;
+          if (core_inactive_[i] != 0 || !cores_[i].Due(now, icnt_)) continue;
           cores_[i].TickCore(now, icnt_);
           if (cores_[i].Inactive()) {
             core_inactive_[i] = 1;
@@ -142,9 +154,11 @@ void GpuSimulator::Step() {
       }
       if (timeline_ != nullptr && timeline_->Due(now)) {
         obs::ProfileSpan snap(profiler_, obs::Phase::kSnapshot);
+        SyncCores();
         timeline_->Record(now, Collect(), SnapshotPolicy());
       }
       if (progress_ != nullptr && progress_->Due(now)) {
+        SyncCores();
         obs::ProgressSample sample;
         sample.cycle = now;
         for (const SmCore& core : cores_) {
@@ -157,10 +171,12 @@ void GpuSimulator::Step() {
         progress_->Emit(sample);
       }
       if (checker_ != nullptr && checker_->Due(now)) {
+        SyncCores();
         checker_->CheckAll(*this, now);
       }
       if (watchdog_ != nullptr && !watchdog_->tripped() &&
           watchdog_->Due(now) && !Done()) {
+        SyncCores();
         if (watchdog_->Observe(ProgressCount(), now)) {
           robust::StallDiagnostic diag =
               robust::Diagnose(*this, now, watchdog_->last_progress_cycle(),
@@ -217,8 +233,10 @@ Metrics GpuSimulator::Run() {
         run_error_ != robust::RunError::kNone) {
       break;
     }
-    Step();
+    Advance();
   }
+  // A run cut short by max_core_cycles can stop in the middle of a skip.
+  SyncCores();
   Metrics m = Collect();
   m.completed = Done() ? 1 : 0;
   if (m.completed != 0) {

@@ -89,8 +89,9 @@ class GpuSimulator {
   /// and VTA hits when the L1D policy is Global-Protection or DLP.
   void PublishMetrics(obs::Registry& registry) const;
 
-  /// Single-step variants for tests.
-  void Step();          // one clock-domain event
+  /// Single-step variants for tests. Step runs one clock-domain event
+  /// and then SyncCores, so every core's counters are exact afterwards.
+  void Step();
   bool Done() const;    // all cores drained, network and memory idle
 
   Metrics Collect() const;
@@ -137,6 +138,14 @@ class GpuSimulator {
   Cycle mem_cycles() const { return clocks_.cycles(mem_domain_); }
 
  private:
+  /// One clock-domain event. Cores not Due skip their tick, so their
+  /// issue counters may lag until SyncCores.
+  void Advance();
+  /// Applies every core's skipped cycles through the current core cycle
+  /// (SmCore::CatchUp). Anything that reads core state mid-run calls it
+  /// first.
+  void SyncCores();
+
   SimConfig cfg_;
   std::vector<SmCore> cores_;
   Crossbar icnt_;

@@ -55,10 +55,6 @@ void Crossbar::InjectFromPartition(std::uint32_t part, const IcntPacket& pkt) {
   partition_ports_[part].queue.push_back(pkt);
 }
 
-bool Crossbar::HasForCore(std::uint32_t core) const {
-  return !to_core_[core].empty();
-}
-
 IcntPacket Crossbar::PopForCore(std::uint32_t core) {
   assert(HasForCore(core));
   IcntPacket pkt = to_core_[core].front();

@@ -45,7 +45,9 @@ class Crossbar {
   // --- core side ---
   bool CanInjectFromCore(std::uint32_t core) const;
   void InjectFromCore(std::uint32_t core, const IcntPacket& pkt);
-  bool HasForCore(std::uint32_t core) const;
+  bool HasForCore(std::uint32_t core) const {
+    return !to_core_[core].empty();
+  }
   IcntPacket PopForCore(std::uint32_t core);
 
   // --- partition side ---

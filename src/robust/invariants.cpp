@@ -143,7 +143,57 @@ std::string CheckL1D(const L1DCache& l1d) {
   return "";
 }
 
-std::string CheckSmCore(const SmCore& core) {
+namespace {
+/// The skip contract of SmCore::CruiseEnd for cycles (now, cruise_end()].
+std::string CheckCoreCruise(const SmCore& core, Cycle now) {
+  const Cycle end = core.cruise_end();
+  if (end <= now) return "";
+  std::ostringstream os;
+  os << "core_cruise: skipping through cycle " << end << " at cycle " << now
+     << ", but ";
+  if (!core.ldst().Idle()) {
+    os << "the LD/ST unit holds " << core.ldst().queue_depth() << " ops";
+    return os.str();
+  }
+  if (core.l1d().HasOutgoing()) {
+    os << "the L1D has " << core.l1d().outgoing_size()
+       << " requests outgoing";
+    return os.str();
+  }
+  const Cycle skip = end - now;
+  std::uint64_t issuers = 0;
+  for (const WarpScheduler& sched : core.schedulers()) {
+    if (sched.kind() != SchedulerKind::kGto) {
+      os << "a scheduler is not GTO";
+      return os.str();
+    }
+    if (sched.ReadySetEmpty()) continue;
+    const std::uint32_t w = sched.greedy();
+    if (w == kInvalidIndex || !core.warps()[w].Issueable(now + 1)) {
+      os << "a scheduler has ready warps and no greedy warp that can issue";
+      return os.str();
+    }
+    const Warp& warp = core.warps()[w];
+    if (warp.Current().op != OpClass::kAlu || warp.SlotsLeft() <= skip) {
+      os << "greedy warp " << w << " has " << warp.SlotsLeft()
+         << " slots left in its instruction";
+      return os.str();
+    }
+    ++issuers;
+  }
+  const std::uint64_t threshold = core.other_traffic_threshold();
+  const std::uint64_t credit =
+      core.other_traffic_credit() + skip * issuers * core.warp_size();
+  if (threshold > 0 && credit >= threshold) {
+    os << "the background credit reaches " << credit << ", its threshold is "
+       << threshold;
+    return os.str();
+  }
+  return "";
+}
+}  // namespace
+
+std::string CheckSmCore(const SmCore& core, Cycle now) {
   const std::vector<Warp>& warps = core.warps();
   const bool all_finished =
       std::all_of(warps.begin(), warps.end(),
@@ -169,7 +219,7 @@ std::string CheckSmCore(const SmCore& core) {
       }
     }
   }
-  return "";
+  return CheckCoreCruise(core, now);
 }
 
 namespace {
@@ -263,7 +313,7 @@ void InvariantChecker::CheckAll(const GpuSimulator& gpu, Cycle now) {
   for (const SmCore& core : gpu.cores()) {
     const std::string where = "sm" + std::to_string(core.id());
     Report(where, CheckL1D(core.l1d()));
-    Report(where, CheckSmCore(core));
+    Report(where, CheckSmCore(core, now));
   }
   Report("icnt", CheckCrossbar(gpu.icnt()));
   for (const MemoryPartition& p : gpu.partitions()) {

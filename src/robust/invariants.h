@@ -77,9 +77,15 @@ std::string CheckL1D(const L1DCache& l1d);
 
 /// SmCore::Finished() agrees with a walk of the warps, and every
 /// scheduler's ready set holds each owned warp that is unfinished and not
-/// waiting on memory, and no warp waiting on memory. Prefixed like
-/// CheckL1D ("finished_count" / "ready_set").
-std::string CheckSmCore(const SmCore& core);
+/// waiting on memory, and no warp waiting on memory. For a core whose
+/// cruise_end() lies after `now` (its counters synced to `now`), the skip
+/// contract holds: the LD/ST unit is idle, nothing is outgoing, the
+/// background credit stays below its threshold through cruise_end(), and
+/// each scheduler is GTO with an empty ready set or a greedy warp that
+/// can issue on an ALU instruction with more slots left than the skip has
+/// cycles. Prefixed like CheckL1D ("finished_count" / "ready_set" /
+/// "core_cruise").
+std::string CheckSmCore(const SmCore& core, Cycle now);
 /// The crossbar's packets in transit are ordered by deliver_at
 /// ("icnt_order").
 std::string CheckCrossbar(const Crossbar& icnt);

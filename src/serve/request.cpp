@@ -1,7 +1,6 @@
 #include "serve/request.h"
 
 #include <charconv>
-#include <cstdlib>
 #include <sstream>
 
 #include "sim/parse.h"
@@ -22,15 +21,6 @@ bool SplitField(const std::string& line, std::string* key,
   }
   *key = line.substr(0, sp);
   *value = line.substr(sp + 1);
-  return true;
-}
-
-bool ParseDouble(const std::string& s, double* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (end == nullptr || *end != '\0') return false;
-  *out = v;
   return true;
 }
 
@@ -88,7 +78,7 @@ bool ExperimentRequest::Parse(const std::string& text, ExperimentRequest* out,
       r.config = value;
       saw_config = !value.empty();
     } else if (key == "scale") {
-      if (!ParseDouble(value, &r.scale) || r.scale <= 0.0) {
+      if (!ParsePositiveDouble(value, &r.scale)) {
         return Fail(err, "bad scale"), false;
       }
     } else if (key == "trace") {

@@ -30,10 +30,10 @@ std::uint64_t U64(const char* name, std::uint64_t fallback) {
 }
 
 double PositiveDouble(const char* name, double fallback) {
-  if (const char* v = Raw(name)) {
-    char* end = nullptr;
-    const double parsed = std::strtod(v, &end);
-    if (end != v && parsed > 0.0) return parsed;
+  double parsed = 0.0;
+  if (const char* v = Raw(name);
+      v != nullptr && ParsePositiveDouble(v, &parsed)) {
+    return parsed;
   }
   return fallback;
 }

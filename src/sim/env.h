@@ -9,9 +9,9 @@
 // source silently forks experiment behaviour between machines.
 //
 // Presence and truthiness are distinct (IsSet vs. Flag), and a number
-// that is not positive falls back to the call site's default. Integers
-// parse strictly (sim/parse.h), so "-1" or "12abc" falls back rather
-// than wrapping or truncating.
+// that is not positive falls back to the call site's default. Numbers
+// parse strictly (sim/parse.h), so "-1", "12abc" or "inf" falls back
+// rather than wrapping, truncating or running unbounded.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +39,8 @@ std::string Str(const char* name, const char* fallback);
 /// a trailing byte, overflow) or zero returns `fallback`.
 std::uint64_t U64(const char* name, std::uint64_t fallback);
 
-/// Positive double value; unset, unparsable or <= 0 returns `fallback`.
+/// Positive finite double value; unset, unparsable (a sign, whitespace,
+/// a trailing byte, "inf", "nan", overflow) or <= 0 returns `fallback`.
 double PositiveDouble(const char* name, double fallback);
 
 }  // namespace dlpsim::env

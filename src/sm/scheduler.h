@@ -46,6 +46,18 @@ class WarpScheduler {
     return (ready_[warp_index / 64] & Bit(warp_index)) != 0;
   }
 
+  /// No owned warp is in the ready set: none can issue until one wakes.
+  bool ReadySetEmpty() const {
+    for (std::uint64_t word : ready_) {
+      if (word != 0) return false;
+    }
+    return true;
+  }
+
+  /// The last-issued warp, which GTO keeps picking while it can issue;
+  /// kInvalidIndex before the first issue.
+  std::uint32_t greedy() const { return last_; }
+
   bool Owns(std::uint32_t warp_index) const {
     return warp_index % stride_ == index_;
   }

@@ -1,6 +1,8 @@
 #include "sm/sm_core.h"
 
+#include <algorithm>
 #include <cassert>
+#include <limits>
 
 namespace dlpsim {
 
@@ -104,8 +106,7 @@ void SmCore::DrainOutgoing(Crossbar& icnt) {
 
 void SmCore::InjectBackgroundTraffic(Crossbar& icnt) {
   if (cfg_.other_traffic_per_insns == 0) return;
-  while (other_traffic_credit_ >=
-         cfg_.other_traffic_per_insns * cfg_.core.warp_size) {
+  while (other_traffic_credit_ >= other_traffic_threshold()) {
     if (!icnt.CanInjectFromCore(id_)) return;  // keep the credit, retry
     IcntPacket pkt;
     pkt.kind = IcntPacket::Kind::kOther;
@@ -115,12 +116,61 @@ void SmCore::InjectBackgroundTraffic(Crossbar& icnt) {
                                          cfg_.num_partitions);
     pkt.bytes = cfg_.other_traffic_bytes;
     icnt.InjectFromCore(id_, pkt);
-    other_traffic_credit_ -=
-        cfg_.other_traffic_per_insns * cfg_.core.warp_size;
+    other_traffic_credit_ -= other_traffic_threshold();
   }
 }
 
+void SmCore::CatchUp(Cycle now) {
+  const Cycle to = std::min(now, cruise_end_);
+  if (to <= synced_) return;
+  const Cycle n = to - synced_;
+  std::uint64_t issued = 0;
+  for (const WarpScheduler& sched : schedulers_) {
+    // A cruising scheduler whose greedy warp cannot issue has an empty
+    // ready set and issued nothing.
+    const std::uint32_t w = sched.greedy();
+    if (w == kInvalidIndex || !warps_[w].Issueable(synced_ + 1)) continue;
+    // n < SlotsLeft(), a 32-bit count: CruiseEnd capped the skip there.
+    warps_[w].AdvanceWithinInstruction(static_cast<std::uint32_t>(n));
+    issued += n;
+  }
+  issued_warp_insns += issued;
+  committed_thread_insns += issued * cfg_.core.warp_size;
+  other_traffic_credit_ += issued * cfg_.core.warp_size;
+  synced_ = to;
+}
+
+Cycle SmCore::CruiseEnd(Cycle now) const {
+  if (!ldst_.Idle() || l1d_->HasOutgoing()) return now;
+  Cycle end = std::numeric_limits<Cycle>::max();
+  std::uint64_t issuers = 0;
+  for (const WarpScheduler& sched : schedulers_) {
+    if (sched.kind() != SchedulerKind::kGto) return now;
+    const std::uint32_t w = sched.greedy();
+    if (w != kInvalidIndex && warps_[w].Issueable(now + 1)) {
+      if (warps_[w].Current().op != OpClass::kAlu) return now;
+      // Only IssueFrom may retire the warp or move it onto a load, so
+      // the block's last slot is left to a real tick.
+      end = std::min<Cycle>(end, now + warps_[w].SlotsLeft() - 1);
+      ++issuers;
+    } else if (!sched.ReadySetEmpty()) {
+      return now;
+    }
+  }
+  if (cfg_.other_traffic_per_insns == 0) return end;
+  const std::uint64_t threshold = other_traffic_threshold();
+  if (other_traffic_credit_ >= threshold) return now;
+  if (issuers == 0) return end;
+  // InjectBackgroundTraffic runs on the cycle the credit reaches its
+  // threshold.
+  const std::uint64_t per_cycle = issuers * cfg_.core.warp_size;
+  const std::uint64_t cycles_to_threshold =
+      (threshold - other_traffic_credit_ + per_cycle - 1) / per_cycle;
+  return std::min<Cycle>(end, now + cycles_to_threshold - 1);
+}
+
 void SmCore::TickCore(Cycle now, Crossbar& icnt) {
+  CatchUp(now - 1);
   AcceptResponses(now, icnt);
   woken_.clear();
   ldst_.Tick(now, warps_, woken_);
@@ -132,6 +182,8 @@ void SmCore::TickCore(Cycle now, Crossbar& icnt) {
 
   DrainOutgoing(icnt);
   InjectBackgroundTraffic(icnt);
+  synced_ = now;
+  cruise_end_ = CruiseEnd(now);
 }
 
 bool SmCore::Drained() const {
@@ -148,8 +200,7 @@ bool SmCore::Inactive() const {
   // it crossed the credit threshold while the crossbar was congested;
   // keep ticking it until that credit is spent.
   return cfg_.other_traffic_per_insns == 0 ||
-         other_traffic_credit_ <
-             std::uint64_t{cfg_.other_traffic_per_insns} * cfg_.core.warp_size;
+         other_traffic_credit_ < other_traffic_threshold();
 }
 
 }  // namespace dlpsim

@@ -26,7 +26,32 @@ class SmCore {
 
   /// One core-clock cycle: accept responses, dispatch memory ops, issue
   /// from both schedulers, and push outgoing traffic into the crossbar.
+  /// It first applies the cycles skipped since the last tick (CatchUp)
+  /// and ends by recording cruise_end(): the last cycle through which
+  /// every later tick would only repeat this one's issue side. That is
+  /// `now` unless the LD/ST unit is idle, nothing is outgoing, the
+  /// background credit stays below its threshold, and every scheduler is
+  /// GTO and either mid-ALU-block on a greedy warp that can issue next
+  /// cycle or has an empty ready set. The block's last slot and the
+  /// credit's threshold crossing are left to real ticks. Calling TickCore
+  /// on every cycle is always exact; GpuSimulator calls it only when Due.
   void TickCore(Cycle now, Crossbar& icnt);
+
+  /// Whether cycle `now` needs a TickCore: it lies after cruise_end(), or
+  /// a reply waits in the crossbar (read live, so a reply wakes the core
+  /// without the crossbar knowing about skips).
+  bool Due(Cycle now, const Crossbar& icnt) const {
+    return now > cruise_end_ || icnt.HasForCore(id_);
+  }
+
+  /// Applies the skipped cycles after the last tick through
+  /// min(now, cruise_end()): each cruising scheduler's greedy warp issues
+  /// one ALU slot per cycle, and the issue counters and background credit
+  /// grow to match. Idempotent. Until it runs, those counters lag.
+  void CatchUp(Cycle now);
+
+  /// See TickCore; the maximum Cycle when only a reply can end the skip.
+  Cycle cruise_end() const { return cruise_end_; }
 
   bool Finished() const { return unfinished_warps_ == 0; }  // all retired
   bool Drained() const;   // Finished + all queues empty
@@ -46,6 +71,14 @@ class SmCore {
   /// the bookkeeping drift the invariant checker must catch.
   std::vector<Warp>& mutable_warps() { return warps_; }
   SmId id() const { return id_; }
+  std::uint32_t warp_size() const { return cfg_.core.warp_size; }
+  /// Committed thread instructions since the last background packet.
+  std::uint64_t other_traffic_credit() const { return other_traffic_credit_; }
+  /// The credit at which a background packet is due; 0 when the
+  /// configuration sends none.
+  std::uint64_t other_traffic_threshold() const {
+    return std::uint64_t{cfg_.other_traffic_per_insns} * cfg_.core.warp_size;
+  }
 
   // --- statistics ---
   std::uint64_t committed_thread_insns = 0;
@@ -59,6 +92,7 @@ class SmCore {
   void IssueFrom(WarpScheduler& sched, Cycle now);
   void DrainOutgoing(Crossbar& icnt);
   void InjectBackgroundTraffic(Crossbar& icnt);
+  Cycle CruiseEnd(Cycle now) const;
   /// The scheduler that owns warp `w` (GPGPU-Sim's modulo split).
   WarpScheduler& SchedulerOf(std::uint32_t w) {
     return schedulers_[w % cfg_.core.num_schedulers];
@@ -76,6 +110,8 @@ class SmCore {
   std::vector<std::uint32_t> woken_;        // LD/ST wakes, reused per tick
   std::uint64_t other_traffic_credit_ = 0;  // committed insns since last pkt
   std::uint64_t other_traffic_rr_ = 0;      // destination rotation
+  Cycle synced_ = 0;       // last cycle whose issue side is applied
+  Cycle cruise_end_ = 0;
 };
 
 }  // namespace dlpsim

@@ -56,6 +56,18 @@ class Warp {
   /// cursor; run-length instructions need `count` calls. Pre: Issueable.
   void AdvanceIssue(Cycle now);
 
+  /// Issue slots left in the current instruction, the next one included.
+  /// Pre: !Finished().
+  std::uint32_t SlotsLeft() const { return Current().count - intra_count_; }
+
+  /// Equals `n` AdvanceIssue calls that stay inside the current
+  /// instruction: the core cycles GpuSimulator skipped (SmCore::CatchUp).
+  /// Pre: Issueable at the first of them, and n < SlotsLeft().
+  void AdvanceWithinInstruction(std::uint32_t n) {
+    state_ = State::kReady;  // AdvanceIssue's BUSY -> READY normalization
+    intra_count_ += n;
+  }
+
   // --- memory hazard bookkeeping (driven by the LD/ST unit) ---
   void BlockOnMem(Cycle now) {
     state_ = State::kWaitMem;

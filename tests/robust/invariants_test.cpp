@@ -224,12 +224,13 @@ TEST(Invariants, CatchesFinishedCountDrift) {
   auto prog = b.Build();
   GpuSimulator gpu(TwoCoreGpu(), prog.get(), 3);
   SmCore& core = gpu.cores()[0];
-  EXPECT_EQ(CheckSmCore(core), "");
+  EXPECT_EQ(CheckSmCore(core, gpu.core_cycles()), "");
   // Retire every warp behind the core's back: its count never hears.
   for (Warp& w : core.mutable_warps()) {
     while (!w.Finished()) w.AdvanceIssue(0);
   }
-  EXPECT_NE(CheckSmCore(core).find("finished_count"), std::string::npos);
+  EXPECT_NE(CheckSmCore(core, gpu.core_cycles()).find("finished_count"),
+            std::string::npos);
 }
 
 TEST(Invariants, CatchesReadySetDrift) {
@@ -241,21 +242,68 @@ TEST(Invariants, CatchesReadySetDrift) {
     SmCore& core = gpu.cores()[0];
     // Blocked without telling its scheduler: still in the ready set.
     core.mutable_warps()[1].BlockOnMem(0);
-    EXPECT_NE(CheckSmCore(core).find("waits on memory"), std::string::npos);
+    EXPECT_NE(CheckSmCore(core, gpu.core_cycles()).find("waits on memory"),
+              std::string::npos);
   }
   {
     GpuSimulator gpu(TwoCoreGpu(), prog.get(), 4);
     SmCore& core = gpu.cores()[0];
     while (core.warps()[0].Quiescent() && !gpu.Done()) {
       gpu.Step();
-      ASSERT_EQ(CheckSmCore(core), "");
+      ASSERT_EQ(CheckSmCore(core, gpu.core_cycles()), "");
     }
     ASSERT_TRUE(core.warps()[0].WaitingOnMem());
     // Woken without telling its scheduler: missing from the ready set.
     Warp& w = core.mutable_warps()[0];
     w.OnMemOpDispatched();
     while (w.outstanding() > 0) w.OnTransactionDone();
-    EXPECT_NE(CheckSmCore(core).find("missing"), std::string::npos);
+    EXPECT_NE(CheckSmCore(core, gpu.core_cycles()).find("missing"),
+              std::string::npos);
+  }
+}
+
+// GpuSimulator skips a core's ticks through cruise_end(); nothing outside
+// TickCore may change the core's issue side meanwhile.
+TEST(Invariants, CatchesCoreCruiseDrift) {
+  ProgramBuilder b(4);
+  b.Alu(400).LoadPrivate(1);
+  auto prog = b.Build();
+  const auto cruising = [](GpuSimulator& gpu) -> SmCore& {
+    SmCore& core = gpu.cores()[1];
+    while (core.cruise_end() <= gpu.core_cycles() && !gpu.Done()) gpu.Step();
+    return core;
+  };
+  const auto expect_caught = [](GpuSimulator& gpu, const char* what) {
+    InvariantChecker checker(/*check_interval=*/1, /*throw_on_violation=*/true);
+    try {
+      checker.CheckAll(gpu, gpu.core_cycles());
+      ADD_FAILURE() << what << " not detected";
+    } catch (const InvariantError& e) {
+      EXPECT_EQ(e.check(), "core_cruise") << e.what();
+      EXPECT_EQ(e.where(), "sm1");
+      EXPECT_NE(e.details().find(what), std::string::npos) << e.what();
+    }
+  };
+  {
+    GpuSimulator gpu(TwoCoreGpu(), prog.get(), 4);
+    SmCore& core = cruising(gpu);
+    ASSERT_GT(core.cruise_end(), gpu.core_cycles());
+    InvariantChecker checker(/*check_interval=*/1, /*throw_on_violation=*/true);
+    checker.CheckAll(gpu, gpu.core_cycles());
+    // The greedy warp issues behind the core's back: its ALU block now
+    // ends inside the skip.
+    Warp& w = core.mutable_warps()[core.schedulers()[0].greedy()];
+    while (w.SlotsLeft() > 1) w.AdvanceIssue(gpu.core_cycles());
+    expect_caught(gpu, "slots left");
+  }
+  {
+    GpuSimulator gpu(TwoCoreGpu(), prog.get(), 4);
+    SmCore& core = cruising(gpu);
+    // A miss queued outside the LD/ST unit would sit unsent.
+    core.l1d().Access(MemAccess{1 << 20, AccessType::kLoad, 0, 0},
+                      gpu.core_cycles());
+    ASSERT_TRUE(core.l1d().HasOutgoing());
+    expect_caught(gpu, "outgoing");
   }
 }
 
@@ -305,16 +353,21 @@ TEST(Invariants, EngineChecksHoldUnderBackpressure) {
   InvariantChecker checker(/*check_interval=*/1, /*throw_on_violation=*/true);
   gpu.SetInvariantChecker(&checker);
   std::size_t most_waiting = 0;
+  std::uint64_t cruising = 0;  // core cycles checked mid-skip
   while (!gpu.Done() && gpu.core_cycles() < cfg.max_core_cycles) {
     gpu.Step();
     const Crossbar& icnt = gpu.icnt();
     most_waiting = std::max(most_waiting, icnt.Depths().in_flight -
                                               icnt.in_transit().size());
+    for (const SmCore& core : gpu.cores()) {
+      if (core.cruise_end() > gpu.core_cycles()) ++cruising;
+    }
   }
   ASSERT_TRUE(gpu.Done());
   EXPECT_GT(checker.checks_run(), 1000u);
   EXPECT_EQ(checker.violations(), 0u);
   EXPECT_GT(most_waiting, 100u);
+  EXPECT_GT(cruising, 1000u);
 }
 
 TEST(Invariants, EnvKnobControlsChecker) {

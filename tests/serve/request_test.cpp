@@ -60,6 +60,15 @@ TEST(Request, RejectsMissingOrHostileFields) {
       ExperimentRequest::Parse("app B\nconfig c\nscale -1\n", &got, &err));
   EXPECT_FALSE(
       ExperimentRequest::Parse("app B\nconfig c\nscale zero\n", &got, &err));
+  // Not finite, padded, hexadecimal or overflowing: a NaN scale would
+  // pass MakeWorkload's `scale <= 0` guard and key the result cache.
+  for (const char* scale : {"nan", "inf", " 0.5", "0x1p-3", "1e999"}) {
+    err.clear();
+    EXPECT_FALSE(ExperimentRequest::Parse(
+        std::string("app B\nconfig c\nscale ") + scale + "\n", &got, &err))
+        << "scale '" << scale << "'";
+    EXPECT_EQ(err, "bad scale") << "scale '" << scale << "'";
+  }
   EXPECT_FALSE(
       ExperimentRequest::Parse("app B\nconfig c\nattempt 0\n", &got, &err));
   EXPECT_FALSE(

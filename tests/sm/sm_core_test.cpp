@@ -54,7 +54,7 @@ TEST_P(SmCoreBookkeeping, FinishedAndDrainedMatchBruteForceEveryCycle) {
           << "core " << core.id() << " cycle " << checked;
       ASSERT_EQ(core.Drained(), NaiveDrained(core))
           << "core " << core.id() << " cycle " << checked;
-      ASSERT_EQ(robust::CheckSmCore(core), "")
+      ASSERT_EQ(robust::CheckSmCore(core, checked), "")
           << "core " << core.id() << " cycle " << checked;
       if (core.Finished()) ++finished_core_cycles;
     }

@@ -88,7 +88,11 @@ int main(int argc, char** argv) {
       req.trace = next("--trace");
       req.app = "trace";
     } else if (a == "--scale") {
-      req.scale = std::atof(next("--scale"));
+      const char* v = next("--scale");
+      if (!ParsePositiveDouble(v, &req.scale)) {
+        std::cerr << "--scale: bad value '" << v << "'\n";
+        return Usage(argv[0]);
+      }
     } else if (a == "--deadline-ms") {
       if (!number("--deadline-ms", &req.deadline_ms)) return Usage(argv[0]);
       load.deadline_ms = req.deadline_ms;

@@ -333,10 +333,9 @@ int main(int argc, char** argv) {
     } else if (a == "--scale") {
       const char* v = next("--scale");
       if (v == nullptr) return 2;
-      scale = std::strtod(v, nullptr);
-      if (scale <= 0.0) {
-        std::cerr << "trace_pack: --scale must be > 0\n";
-        return 2;
+      if (!ParsePositiveDouble(v, &scale)) {
+        std::cerr << "trace_pack: --scale: bad value '" << v << "'\n";
+        return Usage();
       }
     } else if (a == "--block") {
       const char* v = next("--block");
