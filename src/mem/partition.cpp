@@ -127,10 +127,10 @@ void MemoryPartition::Tick(Cycle now, Crossbar& icnt) {
   }
 
   PushReplies(now, icnt);
-  next_due_ = NextDue(now);
+  next_due_ = QueuedDue(now);
 }
 
-Cycle MemoryPartition::NextDue(Cycle now) const {
+Cycle MemoryPartition::QueuedDue(Cycle now) const {
   // The DRAM backlog needs no term: Tick leaves it non-empty only behind a
   // full DRAM queue, which frees no earlier than the channel's next event.
   Cycle due = dram_.NextEvent();

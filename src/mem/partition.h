@@ -3,6 +3,7 @@
 // happens through the Crossbar's partition-side ports.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <vector>
@@ -24,14 +25,12 @@ class MemoryPartition {
   /// its partition port has room.
   void Tick(Cycle now_mem, Crossbar& icnt);
 
-  /// False only when Tick(now_mem, icnt) would be a no-op, so the caller
-  /// may skip it: no DRAM event, reply or retry falls due before
-  /// next_due(), no fault stall is counting down and the crossbar holds
-  /// no packet for this partition. The last two are read live, so
-  /// nothing outside Tick has to wake the partition.
-  bool Due(Cycle now_mem, const Crossbar& icnt) const {
-    return next_due_ <= now_mem || fault_stall_cycles_ > 0 ||
-           icnt.HasForPartition(id_);
+  /// The earliest memory cycle from `now_mem` on whose Tick is not a
+  /// no-op: `now_mem` while a fault stall counts down or the crossbar
+  /// holds a packet for this partition, else next_due().
+  Cycle NextDue(Cycle now_mem, const Crossbar& icnt) const {
+    if (fault_stall_cycles_ > 0 || icnt.HasForPartition(id_)) return now_mem;
+    return std::max(now_mem, next_due_);
   }
   /// The earliest memory cycle on which queued work falls due, as of the
   /// last Tick: the DRAM channel's next event, the head of either reply
@@ -77,7 +76,7 @@ class MemoryPartition {
                      Cycle ready_at);
   void PushReplies(Cycle now, Crossbar& icnt);
   void HandleDramCompletions(Cycle now);
-  Cycle NextDue(Cycle now) const;
+  Cycle QueuedDue(Cycle now) const;
 
   SimConfig cfg_;
   PartitionId id_;

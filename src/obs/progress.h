@@ -36,6 +36,8 @@ class ProgressMeter {
                          std::string label = "", std::ostream* os = nullptr);
 
   bool Due(std::uint64_t cycle) const { return cycle >= next_; }
+  /// The first cycle on which Due holds.
+  std::uint64_t next_due() const { return next_; }
 
   /// Formats and writes one heartbeat line, e.g.
   ///   [progress] BFS/dlp cycle=2000000 acc/s=1523412 warps=412/512

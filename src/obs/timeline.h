@@ -41,6 +41,8 @@ class TimelineSampler {
 
   /// True when `now` has reached the next sampling instant.
   bool Due(Cycle now) const { return now >= next_; }
+  /// The first cycle on which Due holds.
+  Cycle next_due() const { return next_; }
 
   /// Appends a sample; `cumulative` is the run's Metrics-so-far. Called
   /// by the simulator when Due(), plus once at end of run.

@@ -106,6 +106,11 @@ class FaultInjector {
   bool HasDue(Cycle now) const {
     return next_ < plan_.events.size() && plan_.events[next_].cycle <= now;
   }
+  /// The first cycle on which HasDue holds; kNever once every event has
+  /// been applied.
+  Cycle next_due() const {
+    return next_ < plan_.events.size() ? plan_.events[next_].cycle : kNever;
+  }
 
   /// Applies every event scheduled at or before `now`.
   void ApplyDue(GpuSimulator& gpu, Cycle now);

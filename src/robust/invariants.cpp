@@ -163,10 +163,6 @@ std::string CheckCoreCruise(const SmCore& core, Cycle now) {
   const Cycle skip = end - now;
   std::uint64_t issuers = 0;
   for (const WarpScheduler& sched : core.schedulers()) {
-    if (sched.kind() != SchedulerKind::kGto) {
-      os << "a scheduler is not GTO";
-      return os.str();
-    }
     if (sched.ReadySetEmpty()) continue;
     const std::uint32_t w = sched.greedy();
     if (w == kInvalidIndex || !core.warps()[w].Issueable(now + 1)) {
@@ -245,9 +241,48 @@ std::string DisorderAt(const char* check, const char* what, std::size_t i,
 std::string CheckCrossbar(const Crossbar& icnt) {
   const auto& fifo = icnt.in_transit();
   const std::size_t i = FirstDisorder(fifo, &Crossbar::InFlight::deliver_at);
-  if (i == std::string::npos) return "";
-  return DisorderAt("icnt_order", "packet in transit", i,
-                    fifo[i - 1].deliver_at, fifo[i].deliver_at);
+  if (i != std::string::npos) {
+    return DisorderAt("icnt_order", "packet in transit", i,
+                      fifo[i - 1].deliver_at, fifo[i].deliver_at);
+  }
+  // Tick visits only the busy ports.
+  const std::vector<std::deque<IcntPacket>>& ports = icnt.ports();
+  for (std::size_t p = 0; p < ports.size(); ++p) {
+    if (icnt.Busy(p) != !ports[p].empty()) {
+      std::ostringstream os;
+      os << "icnt_busy: port " << p << " holds " << ports[p].size()
+         << " packets but is " << (icnt.Busy(p) ? "" : "not ")
+         << "in the busy set";
+      return os.str();
+    }
+  }
+  // GpuSimulator skips the crossbar's tick until next_due() (0: the next
+  // tick): work that falls due earlier would move late.
+  const Cycle due = icnt.next_due();
+  const auto late = [due](const std::string& what, Cycle at) {
+    std::ostringstream os;
+    os << "icnt_next_due: " << what << " at " << at
+       << ", before the crossbar's next due cycle " << due;
+    return os.str();
+  };
+  for (std::size_t p = 0; p < ports.size(); ++p) {
+    const Cycle done = icnt.done_at()[p];  // kUnscheduled: the next tick
+    if (!ports[p].empty() && done < due) {
+      return late("port " + std::to_string(p) + "'s head finishes", done);
+    }
+  }
+  if (!fifo.empty() && fifo.front().deliver_at < due) {
+    return late("the oldest packet in transit lands", fifo.front().deliver_at);
+  }
+  if (icnt.waiting() > 0 && due > 0) {
+    return late(std::to_string(icnt.waiting()) +
+                    " packets wait for room from the next tick",
+                0);
+  }
+  if (icnt.stalled() && due > 0) {
+    return late("a fault stall counts down from the next tick", 0);
+  }
+  return "";
 }
 
 std::string CheckDram(const DramChannel& dram) {

@@ -81,13 +81,16 @@ std::string CheckL1D(const L1DCache& l1d);
 /// cruise_end() lies after `now` (its counters synced to `now`), the skip
 /// contract holds: the LD/ST unit is idle, nothing is outgoing, the
 /// background credit stays below its threshold through cruise_end(), and
-/// each scheduler is GTO with an empty ready set or a greedy warp that
-/// can issue on an ALU instruction with more slots left than the skip has
-/// cycles. Prefixed like CheckL1D ("finished_count" / "ready_set" /
+/// each scheduler has an empty ready set or a greedy warp that can issue
+/// on an ALU instruction with more slots left than the skip has cycles.
+/// Prefixed like CheckL1D ("finished_count" / "ready_set" /
 /// "core_cruise").
 std::string CheckSmCore(const SmCore& core, Cycle now);
 /// The crossbar's packets in transit are ordered by deliver_at
-/// ("icnt_order").
+/// ("icnt_order"); its busy set holds exactly the ports with packets
+/// ("icnt_busy"); and no serialization finishing, packet landing, packet
+/// waiting for room or fault stall falls due before its next_due()
+/// ("icnt_next_due"), the cycle until which GpuSimulator skips its tick.
 std::string CheckCrossbar(const Crossbar& icnt);
 /// DRAM requests in service complete in issue order ("dram_order").
 std::string CheckDram(const DramChannel& dram);
@@ -105,6 +108,8 @@ class InvariantChecker {
       : interval_(check_interval), throw_(throw_on_violation) {}
 
   bool Due(Cycle now) const { return now >= next_check_; }
+  /// The first cycle on which Due holds.
+  Cycle next_due() const { return next_check_; }
 
   /// Checks every SM (L1D and core), the crossbar and every partition.
   /// Throws InvariantError on the first violation (or records it, when

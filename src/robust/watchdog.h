@@ -80,6 +80,8 @@ class Watchdog {
   explicit Watchdog(WatchdogConfig cfg = {}) : cfg_(cfg) {}
 
   bool Due(Cycle now) const { return now >= next_check_; }
+  /// The first cycle on which Due holds.
+  Cycle next_due() const { return next_check_; }
 
   /// Feeds one progress sample. Returns true exactly once: on the sample
   /// that first exceeds the no-progress window.

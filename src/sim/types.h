@@ -8,6 +8,10 @@ namespace dlpsim {
 /// Simulation cycle count within one clock domain.
 using Cycle = std::uint64_t;
 
+/// The cycle no clock reaches: a component whose next due cycle is kNever
+/// has nothing to do until something else changes its state.
+inline constexpr Cycle kNever = ~Cycle{0};
+
 /// Byte address in the simulated global memory space.
 using Addr = std::uint64_t;
 

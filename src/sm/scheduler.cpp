@@ -5,11 +5,10 @@
 
 namespace dlpsim {
 
-WarpScheduler::WarpScheduler(SchedulerKind kind, std::uint32_t index,
+WarpScheduler::WarpScheduler(std::uint32_t index,
                              std::uint32_t num_schedulers,
                              std::uint32_t num_warps)
-    : kind_(kind),
-      index_(index),
+    : index_(index),
       stride_(num_schedulers),
       ready_((num_warps + 63) / 64, 0) {
   for (std::uint32_t w = index; w < num_warps; w += stride_) OnWoken(w);
@@ -17,36 +16,20 @@ WarpScheduler::WarpScheduler(SchedulerKind kind, std::uint32_t index,
 
 std::uint32_t WarpScheduler::Pick(const std::vector<Warp>& warps, Cycle now) {
   const std::uint32_t n = static_cast<std::uint32_t>(warps.size());
-
-  if (kind_ == SchedulerKind::kGto) {
-    // Greedy: stick with the last warp while it can issue.
-    if (last_ != kInvalidIndex && last_ < n && warps[last_].Issueable(now)) {
-      return last_;
-    }
-    // Then-oldest: the lowest ready-set warp that can issue. Warps
-    // waiting on memory are not in the set; retired ones leave it here.
-    for (std::size_t i = 0; i < ready_.size(); ++i) {
-      for (std::uint64_t bits = ready_[i]; bits != 0; bits &= bits - 1) {
-        const auto w =
-            static_cast<std::uint32_t>(i * 64 + std::countr_zero(bits));
-        assert(w < n);
-        if (warps[w].Issueable(now)) return w;
-        if (warps[w].Finished()) ready_[i] &= ~Bit(w);
-      }
-    }
-    return kInvalidIndex;
+  // Greedy: stick with the last warp while it can issue.
+  if (last_ != kInvalidIndex && last_ < n && warps[last_].Issueable(now)) {
+    return last_;
   }
-
-  // LRR: start after the last issued warp, wrap around once.
-  const std::uint32_t owned = (n + stride_ - 1 - index_) / stride_;
-  std::uint32_t start_slot = 0;
-  if (last_ != kInvalidIndex && Owns(last_)) {
-    start_slot = (last_ - index_) / stride_ + 1;
-  }
-  for (std::uint32_t k = 0; k < owned; ++k) {
-    const std::uint32_t slot = (start_slot + k) % owned;
-    const std::uint32_t w = index_ + slot * stride_;
-    if (w < n && warps[w].Issueable(now)) return w;
+  // Then-oldest: the lowest ready-set warp that can issue. Warps waiting
+  // on memory are not in the set; retired ones leave it here.
+  for (std::size_t i = 0; i < ready_.size(); ++i) {
+    for (std::uint64_t bits = ready_[i]; bits != 0; bits &= bits - 1) {
+      const auto w =
+          static_cast<std::uint32_t>(i * 64 + std::countr_zero(bits));
+      assert(w < n);
+      if (warps[w].Issueable(now)) return w;
+      if (warps[w].Finished()) ready_[i] &= ~Bit(w);
+    }
   }
   return kInvalidIndex;
 }

@@ -1,7 +1,7 @@
 // Warp schedulers. The baseline configuration (Table 1) uses two GTO
-// (Greedy-Then-Oldest) schedulers per SM; LRR (loose round robin) is
-// provided for ablations. Each scheduler owns the warps whose id is
-// congruent to its index modulo the scheduler count (GPGPU-Sim's split).
+// (Greedy-Then-Oldest) schedulers per SM. Each scheduler owns the warps
+// whose id is congruent to its index modulo the scheduler count
+// (GPGPU-Sim's split).
 #pragma once
 
 #include <cstdint>
@@ -12,21 +12,18 @@
 
 namespace dlpsim {
 
-enum class SchedulerKind : std::uint8_t { kGto, kLrr };
-
 class WarpScheduler {
  public:
   /// `num_warps` is the size of the `warps` vector every Pick passes.
-  WarpScheduler(SchedulerKind kind, std::uint32_t index,
-                std::uint32_t num_schedulers, std::uint32_t num_warps);
+  WarpScheduler(std::uint32_t index, std::uint32_t num_schedulers,
+                std::uint32_t num_warps);
 
-  /// Picks the warp to issue from this cycle, or kInvalidIndex. GTO: keep
-  /// the last-issued warp while it stays issueable, else the oldest
-  /// (lowest id) issueable warp. LRR: rotate from the warp after the last
-  /// issued one. Every call must pass the same `warps`.
+  /// Picks the warp to issue from this cycle, or kInvalidIndex: the
+  /// last-issued warp while it stays issueable, else the oldest (lowest
+  /// id) issueable warp. Every call must pass the same `warps`.
   std::uint32_t Pick(const std::vector<Warp>& warps, Cycle now);
 
-  /// Informs the scheduler what was issued (updates greedy/rotation state).
+  /// Informs the scheduler what was issued (updates the greedy warp).
   void OnIssued(std::uint32_t warp_index) { last_ = warp_index; }
 
   /// Owned warp `warp_index` blocked on a load (Warp::BlockOnMem).
@@ -41,7 +38,7 @@ class WarpScheduler {
   /// Whether owned warp `warp_index` is in the ready set: every owned
   /// warp that might issue. It holds each unfinished warp not waiting on
   /// memory, SFU-busy ones included, and no warp waiting on memory;
-  /// retired warps stay until a GTO Pick drops them.
+  /// retired warps stay until a Pick drops them.
   bool InReadySet(std::uint32_t warp_index) const {
     return (ready_[warp_index / 64] & Bit(warp_index)) != 0;
   }
@@ -54,21 +51,19 @@ class WarpScheduler {
     return true;
   }
 
-  /// The last-issued warp, which GTO keeps picking while it can issue;
+  /// The last-issued warp, which Pick keeps picking while it can issue;
   /// kInvalidIndex before the first issue.
   std::uint32_t greedy() const { return last_; }
 
   bool Owns(std::uint32_t warp_index) const {
     return warp_index % stride_ == index_;
   }
-  SchedulerKind kind() const { return kind_; }
 
  private:
   static std::uint64_t Bit(std::uint32_t warp_index) {
     return std::uint64_t{1} << (warp_index % 64);
   }
 
-  SchedulerKind kind_;
   std::uint32_t index_;
   std::uint32_t stride_;
   std::uint32_t last_ = kInvalidIndex;

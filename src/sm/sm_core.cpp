@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
 
 namespace dlpsim {
 
 SmCore::SmCore(const SimConfig& cfg, SmId id, const Program* program,
-               std::uint32_t warps, SchedulerKind sched)
+               std::uint32_t warps)
     : cfg_(cfg),
       id_(id),
       program_(program),
@@ -21,7 +20,7 @@ SmCore::SmCore(const SimConfig& cfg, SmId id, const Program* program,
     if (!warps_.back().Finished()) ++unfinished_warps_;
   }
   for (std::uint32_t s = 0; s < cfg.core.num_schedulers; ++s) {
-    schedulers_.emplace_back(sched, s, cfg.core.num_schedulers, warps);
+    schedulers_.emplace_back(s, cfg.core.num_schedulers, warps);
   }
 }
 
@@ -142,10 +141,9 @@ void SmCore::CatchUp(Cycle now) {
 
 Cycle SmCore::CruiseEnd(Cycle now) const {
   if (!ldst_.Idle() || l1d_->HasOutgoing()) return now;
-  Cycle end = std::numeric_limits<Cycle>::max();
+  Cycle end = kNever;
   std::uint64_t issuers = 0;
   for (const WarpScheduler& sched : schedulers_) {
-    if (sched.kind() != SchedulerKind::kGto) return now;
     const std::uint32_t w = sched.greedy();
     if (w != kInvalidIndex && warps_[w].Issueable(now + 1)) {
       if (warps_[w].Current().op != OpClass::kAlu) return now;
@@ -192,15 +190,6 @@ bool SmCore::Drained() const {
     if (!w.Quiescent()) return false;
   }
   return true;
-}
-
-bool SmCore::Inactive() const {
-  if (!Drained()) return false;
-  // A drained core can still owe the interconnect a background packet if
-  // it crossed the credit threshold while the crossbar was congested;
-  // keep ticking it until that credit is spent.
-  return cfg_.other_traffic_per_insns == 0 ||
-         other_traffic_credit_ < other_traffic_threshold();
 }
 
 }  // namespace dlpsim

@@ -2,6 +2,7 @@
 // + the L1D cache, exchanging packets with the interconnect.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -22,7 +23,7 @@ class SmCore {
   /// `warps` warps run `program`; global warp ids are
   /// id * warps + local_id so patterns can address across the whole GPU.
   SmCore(const SimConfig& cfg, SmId id, const Program* program,
-         std::uint32_t warps, SchedulerKind sched = SchedulerKind::kGto);
+         std::uint32_t warps);
 
   /// One core-clock cycle: accept responses, dispatch memory ops, issue
   /// from both schedulers, and push outgoing traffic into the crossbar.
@@ -31,17 +32,19 @@ class SmCore {
   /// every later tick would only repeat this one's issue side. That is
   /// `now` unless the LD/ST unit is idle, nothing is outgoing, the
   /// background credit stays below its threshold, and every scheduler is
-  /// GTO and either mid-ALU-block on a greedy warp that can issue next
-  /// cycle or has an empty ready set. The block's last slot and the
-  /// credit's threshold crossing are left to real ticks. Calling TickCore
-  /// on every cycle is always exact; GpuSimulator calls it only when Due.
+  /// either mid-ALU-block on a greedy warp that can issue next cycle or
+  /// has an empty ready set. The block's last slot and the credit's
+  /// threshold crossing are left to real ticks. Calling TickCore on every
+  /// cycle is always exact; GpuSimulator calls it only when due.
   void TickCore(Cycle now, Crossbar& icnt);
 
-  /// Whether cycle `now` needs a TickCore: it lies after cruise_end(), or
-  /// a reply waits in the crossbar (read live, so a reply wakes the core
-  /// without the crossbar knowing about skips).
-  bool Due(Cycle now, const Crossbar& icnt) const {
-    return now > cruise_end_ || icnt.HasForCore(id_);
+  /// The earliest cycle from `now` on that needs a TickCore: `now` while
+  /// a reply waits in the crossbar, else the cycle after cruise_end():
+  /// kNever while every warp waits on memory, and for good once the core
+  /// has drained and owes no background packet.
+  Cycle NextDue(Cycle now, const Crossbar& icnt) const {
+    if (icnt.HasForCore(id_)) return now;
+    return cruise_end_ == kNever ? kNever : std::max(now, cruise_end_ + 1);
   }
 
   /// Applies the skipped cycles after the last tick through
@@ -50,17 +53,11 @@ class SmCore {
   /// grow to match. Idempotent. Until it runs, those counters lag.
   void CatchUp(Cycle now);
 
-  /// See TickCore; the maximum Cycle when only a reply can end the skip.
+  /// See TickCore; kNever when only a reply can end the skip.
   Cycle cruise_end() const { return cruise_end_; }
 
   bool Finished() const { return unfinished_warps_ == 0; }  // all retired
   bool Drained() const;   // Finished + all queues empty
-
-  /// TickCore is a permanent no-op for this core: drained AND no
-  /// background-traffic credit left that could still inject a packet.
-  /// Sticky -- nothing can reactivate a core once this returns true --
-  /// so the simulator skips inactive cores without changing results.
-  bool Inactive() const;
 
   L1DCache& l1d() { return *l1d_; }
   const L1DCache& l1d() const { return *l1d_; }

@@ -15,6 +15,7 @@
 // 32KB cache (CFD, SR2K) place their reuse just beyond the 8-insertion
 // reach; apps where gains come purely from bypassing (KM) place it far
 // beyond any reach. See DESIGN.md and examples/pattern_calibration.cpp.
+#include <cassert>
 #include <stdexcept>
 #include <string_view>
 
@@ -31,7 +32,9 @@ AppInfo InfoFor(std::string_view abbr) {
   throw std::out_of_range("unknown application: " + std::string(abbr));
 }
 
+// MakeWorkload caps scale at kMaxScale, so the count fits 32 bits.
 std::uint32_t ScaledIters(std::uint32_t base, double scale) {
+  assert(base <= kMaxBaseIterations && scale <= kMaxScale);
   const auto scaled = static_cast<std::uint32_t>(base * scale);
   return scaled == 0 ? 1 : scaled;
 }

@@ -9,6 +9,7 @@
 // working set of S lines is ~(warps_per_sm/32 sets) * S, and shared tiles
 // of L lines shared by groups of d warps yield a short-RD spike (the d-1
 // co-walkers) plus a ~0.75*L tail. See DESIGN.md.
+#include <cassert>
 #include <stdexcept>
 #include <string_view>
 
@@ -25,7 +26,9 @@ AppInfo InfoFor(std::string_view abbr) {
   throw std::out_of_range("unknown application: " + std::string(abbr));
 }
 
+// MakeWorkload caps scale at kMaxScale, so the count fits 32 bits.
 std::uint32_t ScaledIters(std::uint32_t base, double scale) {
+  assert(base <= kMaxBaseIterations && scale <= kMaxScale);
   const auto scaled = static_cast<std::uint32_t>(base * scale);
   return scaled == 0 ? 1 : scaled;
 }

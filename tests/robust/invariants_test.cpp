@@ -179,6 +179,44 @@ TEST(Invariants, CatchesCrossbarPacketDueBeforeItsPredecessor) {
   EXPECT_NE(CheckCrossbar(xbar).find("icnt_order"), std::string::npos);
 }
 
+// GpuSimulator skips the crossbar's tick until next_due(), and Tick visits
+// only the busy ports: a port outside the busy set, or work due before
+// next_due(), would move late.
+TEST(Invariants, CatchesCrossbarBusySetDrift) {
+  Crossbar xbar(IcntConfig{}, 2, 2);
+  IcntPacket p;
+  xbar.InjectFromCore(0, p);
+  EXPECT_EQ(CheckCrossbar(xbar), "");
+  // Queued behind the busy set's back: no tick would ever visit it.
+  xbar.mutable_ports()[3].push_back(p);
+  EXPECT_NE(CheckCrossbar(xbar).find("icnt_busy"), std::string::npos);
+}
+
+TEST(Invariants, CatchesCrossbarDueAfterItsWork) {
+  IcntConfig cfg;
+  cfg.latency = 8;
+  cfg.bytes_per_cycle_per_port = 32;
+  Crossbar xbar(cfg, 2, 2);
+  IcntPacket p;
+  p.bytes = 136;  // 5 cycles at 32 B/cycle
+  xbar.InjectFromCore(0, p);
+  xbar.InjectFromCore(0, p);
+  xbar.Tick(1);  // the first head finishes on cycle 5
+  ASSERT_EQ(xbar.NextDue(2), 5u);
+  EXPECT_EQ(CheckCrossbar(xbar), "");
+  // A serialization shortened behind the crossbar's back.
+  xbar.mutable_done_at()[0] = 3;
+  EXPECT_NE(CheckCrossbar(xbar).find("icnt_next_due"), std::string::npos);
+  xbar.mutable_done_at()[0] = 5;
+  for (Cycle now = 2; now <= 5; ++now) xbar.Tick(now);
+  ASSERT_EQ(xbar.in_transit().size(), 1u);
+  ASSERT_EQ(xbar.NextDue(6), 10u);  // the second head
+  EXPECT_EQ(CheckCrossbar(xbar), "");
+  // A hop that shrank behind its back: the packet lands before next_due.
+  xbar.mutable_in_transit().front().deliver_at = 7;
+  EXPECT_NE(CheckCrossbar(xbar).find("icnt_next_due"), std::string::npos);
+}
+
 TEST(Invariants, CatchesDramCompletionOutOfIssueOrder) {
   DramConfig cfg;
   cfg.banks = 2;

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "workloads/registry.h"
+
 namespace dlpsim::serve {
 namespace {
 
@@ -62,7 +64,9 @@ TEST(Request, RejectsMissingOrHostileFields) {
       ExperimentRequest::Parse("app B\nconfig c\nscale zero\n", &got, &err));
   // Not finite, padded, hexadecimal or overflowing: a NaN scale would
   // pass MakeWorkload's `scale <= 0` guard and key the result cache.
-  for (const char* scale : {"nan", "inf", " 0.5", "0x1p-3", "1e999"}) {
+  // Finite but past kMaxScale: MakeWorkload would throw in the worker.
+  for (const char* scale :
+       {"nan", "inf", " 0.5", "0x1p-3", "1e999", "1e12", "21474837"}) {
     err.clear();
     EXPECT_FALSE(ExperimentRequest::Parse(
         std::string("app B\nconfig c\nscale ") + scale + "\n", &got, &err))
@@ -79,6 +83,15 @@ TEST(Request, RejectsMissingOrHostileFields) {
   EXPECT_FALSE(ExperimentRequest::Parse("app B\nconfig c\ndeadline_ms -1\n",
                                         &got, &err));
   EXPECT_EQ(err, "bad deadline_ms");
+}
+
+TEST(Request, AcceptsTheLargestScaleMakeWorkloadBuilds) {
+  ExperimentRequest got;
+  std::string err;
+  ASSERT_TRUE(ExperimentRequest::Parse("app B\nconfig c\nscale 21474836\n",
+                                       &got, &err))
+      << err;
+  EXPECT_EQ(got.scale, kMaxScale);
 }
 
 TEST(Request, UnknownKeysAreIgnoredForForwardCompat) {

@@ -26,12 +26,12 @@ class SchedulerTest : public ::testing::Test {
 };
 
 TEST_F(SchedulerTest, GtoPicksOldestInitially) {
-  WarpScheduler sched(SchedulerKind::kGto, 0, 1, 6);
+  WarpScheduler sched(0, 1, 6);
   EXPECT_EQ(sched.Pick(warps_, 0), 0u);
 }
 
 TEST_F(SchedulerTest, GtoStaysGreedyOnLastIssued) {
-  WarpScheduler sched(SchedulerKind::kGto, 0, 1, 6);
+  WarpScheduler sched(0, 1, 6);
   sched.OnIssued(3);
   EXPECT_EQ(sched.Pick(warps_, 0), 3u);  // greedy on warp 3
   // When warp 3 blocks, fall back to the oldest ready warp.
@@ -41,8 +41,8 @@ TEST_F(SchedulerTest, GtoStaysGreedyOnLastIssued) {
 
 TEST_F(SchedulerTest, GtoHonorsOwnershipPartition) {
   // Two schedulers: even warps belong to 0, odd to 1.
-  WarpScheduler s0(SchedulerKind::kGto, 0, 2, 6);
-  WarpScheduler s1(SchedulerKind::kGto, 1, 2, 6);
+  WarpScheduler s0(0, 2, 6);
+  WarpScheduler s1(1, 2, 6);
   EXPECT_EQ(s0.Pick(warps_, 0), 0u);
   EXPECT_EQ(s1.Pick(warps_, 0), 1u);
   warps_[0].BlockOnMem(0);
@@ -52,44 +52,13 @@ TEST_F(SchedulerTest, GtoHonorsOwnershipPartition) {
 }
 
 TEST_F(SchedulerTest, GtoReturnsInvalidWhenNothingReady) {
-  WarpScheduler sched(SchedulerKind::kGto, 0, 1, 6);
+  WarpScheduler sched(0, 1, 6);
   for (Warp& w : warps_) w.BlockOnMem(0);
   EXPECT_EQ(sched.Pick(warps_, 0), kInvalidIndex);
 }
 
-TEST_F(SchedulerTest, LrrRotatesThroughWarps) {
-  WarpScheduler sched(SchedulerKind::kLrr, 0, 1, 6);
-  std::vector<std::uint32_t> picks;
-  for (int i = 0; i < 6; ++i) {
-    const std::uint32_t w = sched.Pick(warps_, 0);
-    picks.push_back(w);
-    sched.OnIssued(w);
-  }
-  EXPECT_EQ(picks, (std::vector<std::uint32_t>{0, 1, 2, 3, 4, 5}));
-  // Wraps around.
-  EXPECT_EQ(sched.Pick(warps_, 0), 0u);
-}
-
-TEST_F(SchedulerTest, LrrSkipsBlockedWarps) {
-  WarpScheduler sched(SchedulerKind::kLrr, 0, 1, 6);
-  warps_[1].BlockOnMem(0);
-  sched.OnIssued(0);
-  EXPECT_EQ(sched.Pick(warps_, 0), 2u);
-}
-
-TEST_F(SchedulerTest, LrrHonorsPartition) {
-  WarpScheduler s1(SchedulerKind::kLrr, 1, 2, 6);
-  EXPECT_EQ(s1.Pick(warps_, 0), 1u);
-  s1.OnIssued(1);
-  EXPECT_EQ(s1.Pick(warps_, 0), 3u);
-  s1.OnIssued(3);
-  EXPECT_EQ(s1.Pick(warps_, 0), 5u);
-  s1.OnIssued(5);
-  EXPECT_EQ(s1.Pick(warps_, 0), 1u);
-}
-
 TEST_F(SchedulerTest, GtoGreedyEndsWhenWarpFinishes) {
-  WarpScheduler sched(SchedulerKind::kGto, 0, 1, 2);
+  WarpScheduler sched(0, 1, 2);
   ProgramBuilder b(1);
   b.Alu(1);
   auto tiny = b.Build();
@@ -129,7 +98,7 @@ TEST(GtoScheduler, MatchesNaiveScanWhileWarpsRetireOutOfOrder) {
         std::vector<WarpScheduler> scheds;
         std::vector<std::uint32_t> last(num_scheds, kInvalidIndex);
         for (std::uint32_t s = 0; s < num_scheds; ++s) {
-          scheds.emplace_back(SchedulerKind::kGto, s, num_scheds, num_warps);
+          scheds.emplace_back(s, num_scheds, num_warps);
         }
         const auto naive_pick = [&](std::uint32_t s, Cycle now) {
           if (last[s] != kInvalidIndex && warps[last[s]].Issueable(now)) {
