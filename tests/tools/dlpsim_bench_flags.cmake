@@ -7,12 +7,12 @@
 set(flags
   --repeat --repeat --repeat
   --bench-id --bench-id
-  --scale --scale --scale --scale --scale
+  --scale --scale --scale --scale --scale --scale
   --max-regress --max-regress --max-regress)
 set(values
   x -1 1.5
   abc -3
-  -1 0 nan inf 0.1x
+  -1 0 nan inf 0.1x 1e12
   5% -5 " 5")
 list(LENGTH flags n)
 math(EXPR last "${n} - 1")

@@ -1,9 +1,10 @@
-# Runs TOOL once per malformed --scale value and requires each run to
-# exit 2 with a message that rejects the flag's value. A tool that parsed
+# Runs TOOL once per malformed or out-of-range --scale value (1e12 is
+# past kMaxScale) and requires each run to exit 2 with a message that
+# rejects the flag's value. A tool that parsed
 # the value would go on to fail for another reason or to do real work.
 #
 #   cmake -DTOOL=<dlpsim_client or trace_pack> -P scale_flag.cmake
-set(values nan inf -1 0 0.05abc 0x1p-3 1e999 " 0.5")
+set(values nan inf -1 0 0.05abc 0x1p-3 1e999 1e12 " 0.5")
 foreach(value IN LISTS values)
   execute_process(
     COMMAND "${TOOL}" --scale "${value}"

@@ -130,8 +130,8 @@ bool ParseArgs(int argc, char** argv, Options* opt) {
     } else if (arg == "--scale") {
       const char* v = next("--scale");
       if (v == nullptr) return false;
-      if (!dlpsim::ParsePositiveDouble(v, &opt->scale)) {
-        return bad("--scale", "a positive number", v);
+      if (!dlpsim::ParseScale(v, &opt->scale)) {
+        return bad("--scale", "a scale MakeWorkload builds", v);
       }
     } else if (arg == "--bench-id") {
       const char* v = next("--bench-id");

@@ -32,6 +32,7 @@
 #include "serve/client.h"
 #include "sim/env.h"
 #include "sim/parse.h"
+#include "workloads/registry.h"
 
 namespace {
 
@@ -89,7 +90,7 @@ int main(int argc, char** argv) {
       req.app = "trace";
     } else if (a == "--scale") {
       const char* v = next("--scale");
-      if (!ParsePositiveDouble(v, &req.scale)) {
+      if (!ParseScale(v, &req.scale)) {
         std::cerr << "--scale: bad value '" << v << "'\n";
         return Usage(argv[0]);
       }

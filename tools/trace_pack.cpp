@@ -333,7 +333,7 @@ int main(int argc, char** argv) {
     } else if (a == "--scale") {
       const char* v = next("--scale");
       if (v == nullptr) return 2;
-      if (!ParsePositiveDouble(v, &scale)) {
+      if (!ParseScale(v, &scale)) {
         std::cerr << "trace_pack: --scale: bad value '" << v << "'\n";
         return Usage();
       }
