@@ -1,7 +1,6 @@
 #include "harness.h"
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdlib>
 #include <filesystem>
@@ -68,9 +67,9 @@ std::string TimingDir() {
 #endif
 }
 
-// Grid cells that exhausted their retries in RunGrid (process-wide, like
-// Timing()); benches turn this into a non-zero exit after printing every
-// table they could compute.
+// Grid cells that failed in RunGrid (process-wide, like Timing());
+// benches turn this into a non-zero exit after printing every table they
+// could compute.
 std::atomic<std::size_t> g_failed_cells{0};
 
 // DLPSIM_PROGRESS: 0 = off, "1"/any truthy value = heartbeat every 1M
@@ -86,7 +85,15 @@ bool ProfileEnabled() { return env::Flag("DLPSIM_PROFILE"); }
 bool MetricsDumpEnabled() { return env::Flag("DLPSIM_METRICS"); }
 }  // namespace
 
-double Scale() { return env::PositiveDouble("DLPSIM_SCALE", 1.0); }
+double Scale() {
+  double scale = 1.0;
+  std::string err;
+  if (const char* text = env::Raw("DLPSIM_SCALE");
+      text != nullptr && !ParseScale(text, &scale, &err)) {
+    throw ScaleError("DLPSIM_SCALE: " + err);
+  }
+  return scale;
+}
 
 const std::vector<std::string>& ConfigNames() {
   static const std::vector<std::string> kNames = {"base", "sb",   "gp",
@@ -262,8 +269,8 @@ void ExportFaultArtifacts(const std::string& abbr, const std::string& config,
 }
 
 /// Writes one profiled cell's phase breakdown into DLPSIM_TIMING_DIR in
-/// every supported shape: JSON (machine), collapsed stacks (flamegraph),
-/// Prometheus text and a Chrome trace of the retained spans. Best-effort.
+/// every supported shape: JSON (machine), collapsed stacks (flamegraph)
+/// and a Chrome trace of the retained spans. Best-effort.
 void ExportProfile(const std::string& abbr, const std::string& config,
                    const obs::Profiler& profiler) {
   namespace fs = std::filesystem;
@@ -285,17 +292,13 @@ void ExportProfile(const std::string& abbr, const std::string& config,
     profiler.WriteCollapsed(os);
   }
   {
-    std::ofstream os(dir / (stem + ".prom"));
-    profiler.WriteText(os);
-  }
-  {
     std::ofstream os(dir / (stem + ".trace.json"));
     WriteProfileChromeTrace(os, profiler, abbr + "/" + config);
   }
   std::cerr << "[profile] " << abbr << '/' << config << ": "
             << profiler.events().size() << " spans ("
             << profiler.dropped_events() << " dropped) -> "
-            << (dir / stem).string() << ".{json,collapsed,prom,trace.json}"
+            << (dir / stem).string() << ".{json,collapsed,trace.json}"
             << '\n';
 }
 
@@ -405,8 +408,16 @@ exec::TimingLog& Timing() {
 
 // Constructing the scope starts the global log's wall clock (the
 // function-local static would otherwise first be touched after the
-// first simulation already finished).
+// first simulation already finished) and reads the scale once, so a bad
+// DLPSIM_SCALE stops the bench before its first cell and the destructor
+// never throws.
 TimingScope::TimingScope(std::string name) : name_(std::move(name)) {
+  try {
+    scale_ = Scale();
+  } catch (const ScaleError& e) {
+    std::cerr << name_ << ": " << e.what() << '\n';
+    std::exit(2);
+  }
   Timing();
 }
 
@@ -424,7 +435,7 @@ TimingScope::~TimingScope() {
   // Mirror RunGrid's worker-count resolution so the report names the
   // job count actually used (tracing forces serial).
   const std::size_t jobs = TraceEnabled() ? 1 : exec::DefaultJobs();
-  Timing().WriteJson(os, name_, jobs, Scale());
+  Timing().WriteJson(os, name_, jobs, scale_);
 
   // DLPSIM_METRICS: dump the global registry next to the timing report.
   // The registry holds only merge-order-independent integers, so this
@@ -482,13 +493,13 @@ RunResult LoadOrSimulate(const std::string& abbr, const std::string& config,
 }
 
 /// In-process memo: single-flight per cell, but (unlike call_once) NOT
-/// failure-sticky. A failed flight releases the cell so a later caller --
-/// e.g. RunGrid's retry pass -- can attempt it again; only successes are
-/// memoized. Callers that were waiting on the failing flight see that
-/// flight's exception. std::map gives reference stability, so the flight
-/// runs outside the registry lock. Cells are keyed by (app, config name,
-/// scale): names are unambiguous inside one binary, and the scale
-/// compares exactly.
+/// failure-sticky. A failed flight releases the cell so a later caller
+/// can attempt it again; only successes are memoized (RunGrid tombstones
+/// the cells that failed in its grid). Callers that were waiting on the
+/// failing flight see that flight's exception. std::map gives reference
+/// stability, so the flight runs outside the registry lock. Cells are
+/// keyed by (app, config name, scale): names are unambiguous inside one
+/// binary, and the scale compares exactly.
 struct CellState {
   std::mutex mu;
   std::condition_variable cv;
@@ -570,30 +581,24 @@ std::vector<RunResult> RunGrid(const std::vector<std::string>& apps,
   const std::vector<exec::Job> grid = exec::Grid(apps, configs);
 
   // Resilient execution: a cell that throws (bad workload, watchdog trip,
-  // fault-induced failure) is retried once and, if it still fails, is
-  // recorded as a structured failure instead of aborting its siblings.
+  // fault-induced failure) is recorded as a structured failure instead of
+  // aborting its siblings. Cells are deterministic, so it is not retried.
   // Its result slot stays value-initialized so tables keep their shape.
-  exec::RetryPolicy retry;
-  retry.timeout_seconds = env::PositiveDouble("DLPSIM_JOB_TIMEOUT", 0.0);
   exec::GridRun<RunResult> run = exec::TryRunJobs(
       grid, [scale](const exec::Job& j) { return Run(j.app, j.config, scale); },
-      retry, jobs);
+      jobs);
 
   for (const exec::JobFailure& f : run.failures) {
-    std::cerr << "[grid] FAILED " << f.job.app << '/' << f.job.config
-              << " after " << f.attempts << " attempt(s)"
-              << (f.timed_out ? " (timed out)" : "") << ": " << f.error
-              << '\n';
+    std::cerr << "[grid] FAILED " << f.job.app << '/' << f.job.config << ": "
+              << f.error << '\n';
     exec::TimingCell cell;
     cell.app = f.job.app;
     cell.config = f.job.config;
     cell.failed = true;
-    cell.timed_out = f.timed_out;
-    cell.attempts = f.attempts;
     cell.error = f.error;
     Timing().Record(std::move(cell));
 
-    // Tombstone the exhausted cell in the memo with the same
+    // Tombstone the failed cell in the memo with the same
     // value-initialized result as run.results[f.index]: benches re-read
     // cells through Run() in their table loops, and without this the
     // non-sticky memo would re-simulate the known-bad cell and throw

@@ -22,7 +22,9 @@
 // evaluation figures (10-13).
 //
 // Environment knobs:
-//   DLPSIM_SCALE      - iteration scale factor (default 1.0)
+//   DLPSIM_SCALE      - iteration scale factor (default 1.0), read with
+//                       ParseScale; a value it refuses stops the bench
+//                       with exit 2 before any cell runs
 //   DLPSIM_JOBS       - worker threads for RunGrid (default: hardware
 //                       concurrency; 1 = serial)
 //   DLPSIM_CACHE_DIR  - result-cache directory (default ./.dlpsim_cache);
@@ -60,10 +62,6 @@
 //   DLPSIM_CHECK      - 1 = run the opt-in invariant checker every few
 //                       thousand cycles (see robust/invariants.h);
 //                       0 = force off even in DLPSIM_CHECKED builds.
-//   DLPSIM_JOB_TIMEOUT - per-attempt wall-clock budget in seconds for
-//                       RunGrid cells (cooperative: an over-budget
-//                       attempt is discarded and counted as a timed-out
-//                       failure). Unset/0 = no timeout.
 //   DLPSIM_METRICS    - set to 1 to dump the global obs::Registry on
 //                       TimingScope destruction: <bench>_metrics.prom
 //                       (Prometheus text exposition) and
@@ -82,7 +80,7 @@
 //                       StallDiagnostic when a run stalls.
 //   DLPSIM_PROFILE    - set to 1 to attach an obs::Profiler phase
 //                       profiler to every simulated cell and write
-//                       <app>_<config>_profile.{json,collapsed,prom,
+//                       <app>_<config>_profile.{json,collapsed,
 //                       trace.json} into DLPSIM_TIMING_DIR: per-phase
 //                       call counts and self/total wall time, a
 //                       flamegraph collapsed-stack file, and a Chrome
@@ -149,9 +147,9 @@ RunResult Run(const std::string& abbr, const std::string& config,
 /// a * configs.size() + c. jobs == 0 resolves DLPSIM_JOBS (default:
 /// hardware concurrency); DLPSIM_TRACE forces jobs = 1.
 ///
-/// Resilient: a throwing or timed-out cell is retried once and, if it
-/// still fails, recorded as a failed cell in <bench>_timing.json (and in
-/// FailedCells()) while its siblings run to completion. Failed cells'
+/// Resilient: a throwing cell is recorded as a failed cell in
+/// <bench>_timing.json (and in FailedCells()) while its siblings run to
+/// completion. Cells are deterministic, so each runs once. Failed cells'
 /// result slots are value-initialized.
 std::vector<RunResult> RunGrid(const std::vector<std::string>& apps,
                                const std::vector<std::string>& configs,
@@ -203,7 +201,10 @@ bool FromPayload(const std::string& payload, RunResult* out);
 exec::TimingLog& Timing();
 
 /// RAII: writes DLPSIM_TIMING_DIR/<name>_timing.json on destruction with
-/// per-cell sim seconds, total wall time and the job count used.
+/// per-cell sim seconds, total wall time and the job count used. Every
+/// bench opens one first: the constructor reads Scale() and, for a
+/// DLPSIM_SCALE that ParseScale refuses, prints the "bad scale" message
+/// and exits the process with status 2.
 class TimingScope {
  public:
   explicit TimingScope(std::string name);
@@ -214,17 +215,19 @@ class TimingScope {
 
  private:
   std::string name_;
+  double scale_ = 1.0;
 };
 
-/// Iteration scale from DLPSIM_SCALE (default 1.0).
+/// Iteration scale from DLPSIM_SCALE, read with ParseScale: 1.0 when
+/// unset; throws ScaleError for a value ParseScale refuses.
 double Scale();
 
 /// Normalizes `value` to the same app's metric under `base` (helper for
 /// "normalized to baseline" figure rows); returns 0 when base is 0.
 double Normalize(double value, double base);
 
-/// Number of grid cells that exhausted their retries across every RunGrid
-/// call in this process.
+/// Number of grid cells that failed across every RunGrid call in this
+/// process.
 std::size_t FailedCells();
 
 /// Process exit code for benches: 0 when every grid cell succeeded, 1

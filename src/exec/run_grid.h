@@ -14,12 +14,10 @@
 #pragma once
 
 #include <algorithm>
-#include <chrono>
 #include <cstddef>
 #include <exception>
-#include <memory>
+#include <optional>
 #include <string>
-#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -103,28 +101,15 @@ auto RunJobs(const std::vector<Job>& grid, Fn&& fn,
 // RunJobs/ParallelMap abort the whole grid on the first failing cell --
 // correct for tests, fatal for a multi-hour sweep where one bad cell
 // should not discard hundreds of finished ones. TryRunJobs runs every
-// cell to completion, retries failing cells with backoff, and reports
-// the survivors as structured JobFailures instead of throwing.
+// cell once and reports the ones that threw as structured JobFailures
+// instead of throwing. Cells are deterministic, so a failed cell is not
+// retried: it would fail the same way again.
 
-/// Retry/timeout policy for TryRunJobs.
-struct RetryPolicy {
-  int max_attempts = 2;          // 1 = no retry
-  double backoff_seconds = 0.05; // sleep before attempt k: backoff * 2^(k-2)
-  // Per-attempt wall-clock budget. 0 disables. The timeout is
-  // *cooperative*: the attempt is never killed mid-flight (jobs share
-  // in-process state and must not be abandoned on a detached thread);
-  // instead an over-budget attempt's result is discarded and counted as
-  // a timed-out failure.
-  double timeout_seconds = 0.0;
-};
-
-/// One cell that still failed after every attempt.
+/// One cell that threw.
 struct JobFailure {
   std::size_t index = 0;  // grid index (app-major)
   Job job;
-  std::string error;      // what() of the last attempt (or timeout note)
-  int attempts = 0;
-  bool timed_out = false;
+  std::string error;      // what() of the exception
 };
 
 /// Outcome of a resilient grid run. `results[i]` is value-initialized
@@ -136,64 +121,34 @@ struct GridRun {
   bool ok() const { return failures.empty(); }
 };
 
-/// Runs every grid cell through `fn` with per-cell retry; never throws a
-/// cell's exception. The grid always runs to completion and failures come
-/// back as data (recorded into <bench>_timing.json by the harness).
+/// Runs every grid cell through `fn` once; never throws a cell's
+/// exception. The grid always runs to completion and failures come back
+/// as data (recorded into <bench>_timing.json by the harness).
 template <typename Fn>
 auto TryRunJobs(const std::vector<Job>& grid, Fn&& fn,
-                RetryPolicy retry = {}, std::size_t jobs = DefaultJobs())
+                std::size_t jobs = DefaultJobs())
     -> GridRun<std::invoke_result_t<Fn&, const Job&>> {
-  using R = std::invoke_result_t<Fn&, const Job&>;
-  GridRun<R> run;
+  GridRun<std::invoke_result_t<Fn&, const Job&>> run;
   run.results.resize(grid.size());
-  std::vector<std::unique_ptr<JobFailure>> failed(grid.size());
-  const int max_attempts = retry.max_attempts < 1 ? 1 : retry.max_attempts;
-
+  std::vector<std::optional<std::string>> errors(grid.size());
   ParallelMap(
       grid.size(),
       [&](std::size_t i) -> int {
-        std::string last_error;
-        bool timed_out = false;
-        for (int attempt = 1; attempt <= max_attempts; ++attempt) {
-          if (attempt > 1 && retry.backoff_seconds > 0.0) {
-            std::this_thread::sleep_for(std::chrono::duration<double>(
-                retry.backoff_seconds * static_cast<double>(1 << (attempt - 2))));
-          }
-          const Stopwatch attempt_clock;
-          try {
-            R result = fn(grid[i]);
-            const double secs = attempt_clock.Seconds();
-            if (retry.timeout_seconds > 0.0 && secs > retry.timeout_seconds) {
-              timed_out = true;
-              last_error = "attempt took " + std::to_string(secs) +
-                           "s, over the " +
-                           std::to_string(retry.timeout_seconds) +
-                           "s per-job timeout";
-              continue;  // result discarded; maybe retried
-            }
-            run.results[i] = std::move(result);
-            return 0;
-          } catch (const std::exception& e) {
-            timed_out = false;
-            last_error = e.what();
-          } catch (...) {
-            timed_out = false;
-            last_error = "unknown exception";
-          }
+        try {
+          run.results[i] = fn(grid[i]);
+        } catch (const std::exception& e) {
+          errors[i] = e.what();
+        } catch (...) {
+          errors[i] = "unknown exception";
         }
-        auto failure = std::make_unique<JobFailure>();
-        failure->index = i;
-        failure->job = grid[i];
-        failure->error = std::move(last_error);
-        failure->attempts = max_attempts;
-        failure->timed_out = timed_out;
-        failed[i] = std::move(failure);
         return 0;
       },
       jobs);
 
-  for (std::unique_ptr<JobFailure>& f : failed) {
-    if (f != nullptr) run.failures.push_back(std::move(*f));
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    if (errors[i]) {
+      run.failures.push_back(JobFailure{i, grid[i], std::move(*errors[i])});
+    }
   }
   return run;
 }

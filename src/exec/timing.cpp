@@ -63,8 +63,6 @@ void TimingLog::WriteJson(std::ostream& os, const std::string& bench,
     w.KV("cached", c.cached);
     if (c.failed) {
       w.KV("failed", true);
-      w.KV("timed_out", c.timed_out);
-      w.KV("attempts", static_cast<std::int64_t>(c.attempts));
       w.KV("error", c.error);
     }
     w.EndObject();

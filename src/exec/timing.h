@@ -43,12 +43,10 @@ struct TimingCell {
   std::string config;
   double seconds = 0.0;  // simulation wall time (0 when served from cache)
   bool cached = false;
-  // Grid-resilience outcome (exec::TryRunJobs): cells that exhausted
-  // their retries are recorded here so a sweep's failures are data in
-  // <bench>_timing.json, not a lost process.
+  // Grid-resilience outcome (exec::TryRunJobs): cells that threw are
+  // recorded here so a sweep's failures are data in <bench>_timing.json,
+  // not a lost process.
   bool failed = false;
-  bool timed_out = false;
-  int attempts = 1;
   std::string error;  // empty unless failed
 };
 
@@ -66,8 +64,7 @@ class TimingLog {
   /// Writes the JSON document:
   ///   { "bench", "jobs", "scale", "wall_seconds", "sim_seconds_total",
   ///     "cells_simulated", "cells_cached", "cells_failed", "cells": [...] }
-  /// Failed cells additionally carry "failed", "timed_out", "attempts"
-  /// and "error".
+  /// Failed cells additionally carry "failed" and "error".
   void WriteJson(std::ostream& os, const std::string& bench,
                  std::size_t jobs, double scale) const;
 

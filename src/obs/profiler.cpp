@@ -4,7 +4,6 @@
 #include <cassert>
 
 #include "obs/json.h"
-#include "obs/metrics.h"
 
 namespace dlpsim::obs {
 
@@ -115,27 +114,6 @@ void Profiler::WriteCollapsed(std::ostream& os) const {
   // self-time in integer microseconds.
   for (const auto& [path, self] : path_self_) {
     os << path << ' ' << static_cast<std::uint64_t>(self * 1e6) << '\n';
-  }
-}
-
-void Profiler::WriteText(std::ostream& os) const {
-  os << "# TYPE dlpsim_profile_phase_calls counter\n";
-  for (const auto& [phase, stat] : PhaseStats()) {
-    os << "dlpsim_profile_phase_calls{phase=\""
-       << PrometheusLabelEscape(ToString(phase)) << "\"} " << stat.calls
-       << '\n';
-  }
-  os << "# TYPE dlpsim_profile_phase_seconds_total counter\n";
-  for (const auto& [phase, stat] : PhaseStats()) {
-    os << "dlpsim_profile_phase_seconds_total{phase=\""
-       << PrometheusLabelEscape(ToString(phase)) << "\"} "
-       << stat.total_seconds << '\n';
-  }
-  os << "# TYPE dlpsim_profile_phase_self_seconds_total counter\n";
-  for (const auto& [phase, stat] : PhaseStats()) {
-    os << "dlpsim_profile_phase_self_seconds_total{phase=\""
-       << PrometheusLabelEscape(ToString(phase)) << "\"} "
-       << stat.self_seconds << '\n';
   }
 }
 

@@ -20,7 +20,6 @@
 //   WriteJson      - per-phase calls/total/self plus per-path self time.
 //   WriteCollapsed - collapsed-stack lines ("a;b;c <self_us>") for
 //                    flamegraph.pl / speedscope.
-//   WriteText      - Prometheus-style exposition for the future server.
 //   Chrome trace   - obs::WriteProfileChromeTrace (exporters.h) renders
 //                    the bounded span-event buffer on chrome://tracing.
 #pragma once
@@ -92,7 +91,6 @@ class Profiler {
 
   void WriteJson(std::ostream& os) const;
   void WriteCollapsed(std::ostream& os) const;
-  void WriteText(std::ostream& os) const;  // Prometheus exposition
 
  private:
   struct Frame {

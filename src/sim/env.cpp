@@ -29,13 +29,4 @@ std::uint64_t U64(const char* name, std::uint64_t fallback) {
   return fallback;
 }
 
-double PositiveDouble(const char* name, double fallback) {
-  double parsed = 0.0;
-  if (const char* v = Raw(name);
-      v != nullptr && ParsePositiveDouble(v, &parsed)) {
-    return parsed;
-  }
-  return fallback;
-}
-
 }  // namespace dlpsim::env

@@ -10,8 +10,8 @@
 //
 // Presence and truthiness are distinct (IsSet vs. Flag), and a number
 // that is not positive falls back to the call site's default. Numbers
-// parse strictly (sim/parse.h), so "-1", "12abc" or "inf" falls back
-// rather than wrapping, truncating or running unbounded.
+// parse strictly (sim/parse.h), so "-1" or "12abc" falls back rather
+// than wrapping or truncating.
 #pragma once
 
 #include <cstdint>
@@ -38,9 +38,5 @@ std::string Str(const char* name, const char* fallback);
 /// Positive decimal integer value; unset, unparsable (a sign, whitespace,
 /// a trailing byte, overflow) or zero returns `fallback`.
 std::uint64_t U64(const char* name, std::uint64_t fallback);
-
-/// Positive finite double value; unset, unparsable (a sign, whitespace,
-/// a trailing byte, "inf", "nan", overflow) or <= 0 returns `fallback`.
-double PositiveDouble(const char* name, double fallback);
 
 }  // namespace dlpsim::env

@@ -71,8 +71,8 @@ TEST(Harness, GridSurvivesFailingCellAndReportsIt) {
   const std::size_t failed_before = FailedCells();
   const auto timing_failed_before = Timing().FailedCells();
 
-  // "nope" is not a config name: ConfigFor throws, the cell fails after
-  // its retries, and the sibling cells still finish.
+  // "nope" is not a config name: ConfigFor throws, the cell fails, and
+  // the sibling cells still finish.
   const auto results = RunGrid({"HS"}, {"base", "nope"}, /*scale=*/0.01, 2);
   ::unsetenv("DLPSIM_NOCACHE");
 
@@ -88,7 +88,6 @@ TEST(Harness, GridSurvivesFailingCellAndReportsIt) {
   for (const exec::TimingCell& c : Timing().cells()) {
     if (c.failed && c.config == "nope") {
       found = true;
-      EXPECT_GE(c.attempts, 1);
       EXPECT_NE(c.error.find("unknown config"), std::string::npos);
     }
   }

@@ -1,13 +1,11 @@
-// TryRunJobs tests: failing cells retry, then surface as structured
-// failures while every sibling runs to completion.
+// TryRunJobs tests: a failing cell runs once and surfaces as a
+// structured failure while every sibling runs to completion.
 #include "exec/run_grid.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <stdexcept>
-#include <thread>
 
 namespace dlpsim::exec {
 namespace {
@@ -18,7 +16,7 @@ std::vector<Job> TestGrid() {
 
 TEST(TryRunJobs, AllCellsSucceed) {
   const auto run = TryRunJobs(
-      TestGrid(), [](const Job& j) { return j.app + j.config; }, {}, 2);
+      TestGrid(), [](const Job& j) { return j.app + j.config; }, 2);
   EXPECT_TRUE(run.ok());
   ASSERT_EQ(run.results.size(), 6u);
   EXPECT_EQ(run.results[0], "Ax");
@@ -26,20 +24,17 @@ TEST(TryRunJobs, AllCellsSucceed) {
 }
 
 TEST(TryRunJobs, PersistentFailureIsRecordedAndSiblingsFinish) {
-  std::atomic<int> attempts_on_bad{0};
-  RetryPolicy retry;
-  retry.max_attempts = 2;
-  retry.backoff_seconds = 0.001;
+  std::atomic<int> runs_of_bad{0};
   const auto run = TryRunJobs(
       TestGrid(),
       [&](const Job& j) -> int {
         if (j.app == "B" && j.config == "y") {
-          ++attempts_on_bad;
+          ++runs_of_bad;
           throw std::runtime_error("cell exploded");
         }
         return 7;
       },
-      retry, 3);
+      3);
 
   EXPECT_FALSE(run.ok());
   ASSERT_EQ(run.failures.size(), 1u);
@@ -47,10 +42,8 @@ TEST(TryRunJobs, PersistentFailureIsRecordedAndSiblingsFinish) {
   EXPECT_EQ(f.job.app, "B");
   EXPECT_EQ(f.job.config, "y");
   EXPECT_EQ(f.index, 3u);  // app-major: B is row 1, y is column 1
-  EXPECT_EQ(f.attempts, 2);
-  EXPECT_FALSE(f.timed_out);
   EXPECT_EQ(f.error, "cell exploded");
-  EXPECT_EQ(attempts_on_bad.load(), 2);
+  EXPECT_EQ(runs_of_bad.load(), 1);  // deterministic: never retried
 
   // Siblings all ran; the failed slot is value-initialized.
   ASSERT_EQ(run.results.size(), 6u);
@@ -61,50 +54,11 @@ TEST(TryRunJobs, PersistentFailureIsRecordedAndSiblingsFinish) {
   }
 }
 
-TEST(TryRunJobs, TransientFailureSucceedsOnRetry) {
-  std::atomic<int> calls{0};
-  RetryPolicy retry;
-  retry.max_attempts = 3;
-  retry.backoff_seconds = 0.001;
-  const auto run = TryRunJobs(
-      std::vector<Job>{{"A", "x"}},
-      [&](const Job&) -> int {
-        if (calls.fetch_add(1) == 0) throw std::runtime_error("flaky");
-        return 42;
-      },
-      retry, 1);
-  EXPECT_TRUE(run.ok());
-  ASSERT_EQ(run.results.size(), 1u);
-  EXPECT_EQ(run.results[0], 42);
-  EXPECT_EQ(calls.load(), 2);
-}
-
-TEST(TryRunJobs, CooperativeTimeoutCountsAsTimedOutFailure) {
-  RetryPolicy retry;
-  retry.max_attempts = 1;
-  retry.timeout_seconds = 0.001;
-  const auto run = TryRunJobs(
-      std::vector<Job>{{"SLOW", "x"}},
-      [](const Job&) -> int {
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-        return 1;
-      },
-      retry, 1);
-  EXPECT_FALSE(run.ok());
-  ASSERT_EQ(run.failures.size(), 1u);
-  EXPECT_TRUE(run.failures[0].timed_out);
-  EXPECT_NE(run.failures[0].error.find("timeout"), std::string::npos);
-  EXPECT_EQ(run.results[0], 0);  // over-budget result discarded
-}
-
 TEST(TryRunJobs, NonExceptionThrowIsCaptured) {
-  RetryPolicy retry;
-  retry.max_attempts = 1;
-  retry.backoff_seconds = 0.0;
   const auto run = TryRunJobs(
       std::vector<Job>{{"A", "x"}},
       [](const Job&) -> int { throw 17; },  // not a std::exception
-      retry, 1);
+      1);
   ASSERT_EQ(run.failures.size(), 1u);
   EXPECT_EQ(run.failures[0].error, "unknown exception");
 }

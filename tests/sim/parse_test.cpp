@@ -1,6 +1,5 @@
-// Strict number parsing (sim/parse.h) and the env::U64 and
-// env::PositiveDouble knob readers that use it: anything but a whole
-// decimal number is rejected or falls back.
+// Strict number parsing (sim/parse.h) and the env::U64 knob reader that
+// uses it: anything but a whole decimal number is rejected or falls back.
 #include "sim/parse.h"
 
 #include <gtest/gtest.h>
@@ -110,28 +109,6 @@ TEST(EnvU64, MalformedValuesFallBack) {
   for (const char* bad : {"-1", "12abc", "0", "", " 12"}) {
     ::setenv(name, bad, 1);
     EXPECT_EQ(env::U64(name, 4), 4u) << '"' << bad << '"';
-  }
-
-  if (saved != nullptr) {
-    ::setenv(name, restore.c_str(), 1);
-  } else {
-    ::unsetenv(name);
-  }
-}
-
-TEST(EnvPositiveDouble, MalformedValuesFallBack) {
-  const char* name = "DLPSIM_SCALE";
-  const char* saved = std::getenv(name);
-  const std::string restore = saved != nullptr ? saved : "";
-
-  ::unsetenv(name);
-  EXPECT_EQ(env::PositiveDouble(name, 1.0), 1.0);
-  ::setenv(name, "0.05", 1);
-  EXPECT_EQ(env::PositiveDouble(name, 1.0), 0.05);
-  for (const char* bad :
-       {"0.05abc", "inf", "nan", "1e999", "0x1p-3", " 0.5", "-1", "0", ""}) {
-    ::setenv(name, bad, 1);
-    EXPECT_EQ(env::PositiveDouble(name, 1.0), 1.0) << '"' << bad << '"';
   }
 
   if (saved != nullptr) {
