@@ -4,7 +4,8 @@
 // hot set grows until it falls out of every protection reach.
 //
 //   ./custom_workload [warps_per_sm]
-#include <cstdlib>
+//
+// warps_per_sm is 1 to core.max_warps (48), default 24.
 #include <iostream>
 #include <memory>
 
@@ -12,6 +13,7 @@
 #include "core/pdpt.h"
 #include "gpu/simulator.h"
 #include "sim/config.h"
+#include "sim/parse.h"
 #include "workloads/registry.h"
 
 using namespace dlpsim;
@@ -38,7 +40,15 @@ std::unique_ptr<Program> ProbeKernel(std::uint64_t ws_lines) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::uint32_t warps = argc > 1 ? std::atoi(argv[1]) : 24;
+  const std::uint32_t max_warps = SimConfig::Baseline16KB().core.max_warps;
+  std::uint32_t warps = 24;
+  if (argc > 2 || (argc == 2 && (!ParseUnsigned(argv[1], &warps) ||
+                                 warps == 0 || warps > max_warps))) {
+    std::cerr << "custom_workload: want warps_per_sm in 1.." << max_warps
+              << "\n"
+              << "usage: custom_workload [warps_per_sm]\n";
+    return 2;
+  }
   std::cout << "Custom workload: hash-probe kernel, " << warps
             << " warps/SM. Sweeping the per-warp hash window.\n"
             << "Rule of thumb: per-set reuse distance ~= S * total "

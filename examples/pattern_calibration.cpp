@@ -4,7 +4,9 @@
 // paper's Fig. 3 profiles (see DESIGN.md).
 //
 //   ./pattern_calibration [warps_per_sm] [mem_pcs]
-#include <cstdlib>
+//
+// warps_per_sm is 1 to core.max_warps (48), default 48; mem_pcs, the
+// probe loads per iteration, is 1 to kMaxProbePcs (32), default 4.
 #include <functional>
 #include <iostream>
 #include <memory>
@@ -13,11 +15,24 @@
 #include "analysis/report.h"
 #include "gpu/simulator.h"
 #include "sim/config.h"
+#include "sim/parse.h"
 #include "workloads/registry.h"
 
 using namespace dlpsim;
 
 namespace {
+
+/// The probe PCs share one PDPT and one histogram; more than this only
+/// lengthens every run.
+constexpr std::uint32_t kMaxProbePcs = 32;
+
+/// Parses argv[i] into `*out` when given; false when it is not a count in
+/// [1, max].
+bool ParseCount(int argc, char** argv, int i, std::uint32_t max,
+                std::uint32_t* out) {
+  if (argc <= i) return true;
+  return ParseUnsigned(argv[i], out) && *out >= 1 && *out <= max;
+}
 
 /// Builds a probe program: `mem_pcs` loads of the pattern under test per
 /// iteration plus a little ALU padding, runs it, and returns the RDD of
@@ -53,8 +68,16 @@ void Report(TextTable& t, const std::string& label, const RddHistogram& h) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::uint32_t warps = argc > 1 ? std::atoi(argv[1]) : 48;
-  const std::uint32_t mem_pcs = argc > 2 ? std::atoi(argv[2]) : 4;
+  const std::uint32_t max_warps = SimConfig::Baseline16KB().core.max_warps;
+  std::uint32_t warps = 48;
+  std::uint32_t mem_pcs = 4;
+  if (argc > 3 || !ParseCount(argc, argv, 1, max_warps, &warps) ||
+      !ParseCount(argc, argv, 2, kMaxProbePcs, &mem_pcs)) {
+    std::cerr << "pattern_calibration: want warps_per_sm in 1.." << max_warps
+              << " and mem_pcs in 1.." << kMaxProbePcs << "\n"
+              << "usage: pattern_calibration [warps_per_sm] [mem_pcs]\n";
+    return 2;
+  }
 
   std::cout << "warps/SM=" << warps << ", probe PCs per iteration="
             << mem_pcs << "\n\n";

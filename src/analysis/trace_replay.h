@@ -17,12 +17,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <istream>
 #include <string>
 #include <vector>
 
 #include "core/l1d_cache.h"
+#include "sim/ring.h"
 #include "sim/types.h"
 #include "trace/error.h"
 #include "trace/record.h"
@@ -78,7 +78,7 @@ class TraceReplayer {
 
   L1DCache cache_;
   std::uint32_t fill_latency_;
-  std::deque<PendingFill> fills_;
+  Ring<PendingFill> fills_;
   std::vector<MshrToken> woken_;
 };
 

@@ -310,8 +310,7 @@ void L1DCache::Fill(const L1DResponse& response, Cycle now,
                   .sm = sm_,
                   .kind = TraceEventKind::kFill});
   }
-  std::vector<MshrToken> tokens = mshr_.Retire(response.block);
-  woken.insert(woken.end(), tokens.begin(), tokens.end());
+  mshr_.Retire(response.block, woken);
 }
 
 void L1DCache::Reset() {

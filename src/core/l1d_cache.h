@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -23,6 +22,7 @@
 #include "core/policies.h"
 #include "obs/trace_event.h"
 #include "sim/config.h"
+#include "sim/ring.h"
 #include "sim/types.h"
 
 namespace dlpsim {
@@ -186,7 +186,7 @@ class L1DCache {
   TagArray tda_;
   MshrTable mshr_;
   std::unique_ptr<ProtectionPolicy> policy_;
-  std::deque<L1DOutgoing> outgoing_;
+  Ring<L1DOutgoing> outgoing_;
   CacheStats stats_;
   std::vector<std::uint64_t> mshr_occupancy_;
   AccessObserver* observer_ = nullptr;

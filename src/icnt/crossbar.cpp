@@ -10,13 +10,13 @@ namespace {
 // Moves waiting packets into their delivery queues while a queue holds
 // fewer than `cap`; records each destination that received one in
 // `landed` and returns how many moved.
-std::size_t AdmitWaiting(std::vector<std::deque<IcntPacket>>& waits,
-                         std::vector<std::deque<IcntPacket>>& queues,
+std::size_t AdmitWaiting(std::vector<Ring<IcntPacket>>& waits,
+                         std::vector<Ring<IcntPacket>>& queues,
                          std::size_t cap, std::vector<std::uint32_t>& landed) {
   std::size_t moved = 0;
   for (std::size_t dst = 0; dst < waits.size(); ++dst) {
-    std::deque<IcntPacket>& wait = waits[dst];
-    std::deque<IcntPacket>& queue = queues[dst];
+    Ring<IcntPacket>& wait = waits[dst];
+    Ring<IcntPacket>& queue = queues[dst];
     if (wait.empty() || queue.size() >= cap) continue;
     landed.push_back(static_cast<std::uint32_t>(dst));
     for (; !wait.empty() && queue.size() < cap; ++moved) {
@@ -102,7 +102,7 @@ Cycle Crossbar::EarliestWork() const {
   return due;
 }
 
-void Crossbar::Land(std::deque<IcntPacket>& queue, const InFlight& f) {
+void Crossbar::Land(Ring<IcntPacket>& queue, const InFlight& f) {
   queue.push_back(f.pkt);
   (f.to_core ? landed_cores_ : landed_partitions_).push_back(f.pkt.dst);
   ++packets_delivered;
@@ -176,7 +176,7 @@ void Crossbar::Tick(Cycle now) {
     // order a scan of every port gives them.
     for (; ready != 0; ready &= ready - 1) {
       const std::size_t i = word * 64 + std::countr_zero(ready);
-      std::deque<IcntPacket>& queue = ports_[i];
+      Ring<IcntPacket>& queue = ports_[i];
       // Head packet fully serialized this cycle; it arrives after the hop
       // latency and then waits for delivery-queue space.
       flight_.push_back(InFlight{queue.front(), now + cfg_.latency,

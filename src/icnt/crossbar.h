@@ -14,11 +14,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "cache/mshr.h"
 #include "sim/config.h"
+#include "sim/ring.h"
 #include "sim/types.h"
 
 namespace dlpsim {
@@ -112,19 +112,19 @@ class Crossbar {
   };
   /// Packets in transit and not yet due, in serialization order (the
   /// invariant checker verifies they are ordered by deliver_at).
-  const std::deque<InFlight>& in_transit() const { return flight_; }
+  const Ring<InFlight>& in_transit() const { return flight_; }
   /// White-box tests only: plants the disorder the checker must catch.
-  std::deque<InFlight>& mutable_in_transit() { return flight_; }
+  Ring<InFlight>& mutable_in_transit() { return flight_; }
 
   /// The injection ports' queues of packets awaiting serialization, head
   /// first: core ports in core order, then partition ports.
-  const std::vector<std::deque<IcntPacket>>& ports() const { return ports_; }
+  const std::vector<Ring<IcntPacket>>& ports() const { return ports_; }
   /// Per port, the cycle its head finishes serializing: kUnscheduled
   /// until a Tick sees the head, and for an empty port.
   const std::vector<Cycle>& done_at() const { return done_at_; }
   static constexpr Cycle kUnscheduled = 0;
   /// White-box tests only: plant the drift the checker must catch.
-  std::vector<std::deque<IcntPacket>>& mutable_ports() { return ports_; }
+  std::vector<Ring<IcntPacket>>& mutable_ports() { return ports_; }
   std::vector<Cycle>& mutable_done_at() { return done_at_; }
   /// Whether port `i` is in the busy set Tick visits.
   bool Busy(std::size_t i) const { return (busy_[i / 64] >> (i % 64)) & 1u; }
@@ -155,21 +155,21 @@ class Crossbar {
   /// next_due_ from scratch (Tick keeps it as it goes).
   Cycle EarliestWork() const;
   void Deliver(Cycle now);
-  void Land(std::deque<IcntPacket>& queue, const InFlight& f);
+  void Land(Ring<IcntPacket>& queue, const InFlight& f);
 
   IcntConfig cfg_;
   std::uint32_t num_cores_;
-  std::vector<std::deque<IcntPacket>> ports_;  // awaiting serialization
+  std::vector<Ring<IcntPacket>> ports_;  // awaiting serialization
   std::vector<Cycle> done_at_;                 // see done_at()
   std::vector<std::uint64_t> busy_;  // bit i: ports_[i] holds a packet
   std::vector<std::uint32_t> new_heads_;  // ports that gained a head
-  std::deque<InFlight> flight_;       // serialized, in transit (FIFO)
-  std::vector<std::deque<IcntPacket>> to_partition_;  // delivery queues
-  std::vector<std::deque<IcntPacket>> to_core_;
+  Ring<InFlight> flight_;  // serialized, in transit (FIFO)
+  std::vector<Ring<IcntPacket>> to_partition_;  // delivery queues
+  std::vector<Ring<IcntPacket>> to_core_;
   // Due packets that found their delivery queue full, per destination in
   // arrival order; waiting_ counts them all.
-  std::vector<std::deque<IcntPacket>> wait_to_partition_;
-  std::vector<std::deque<IcntPacket>> wait_to_core_;
+  std::vector<Ring<IcntPacket>> wait_to_partition_;
+  std::vector<Ring<IcntPacket>> wait_to_core_;
   std::size_t waiting_ = 0;
   std::uint64_t fault_stall_cycles_ = 0;  // robust/: ticks to swallow
   Cycle next_due_ = kNever;

@@ -40,38 +40,38 @@ void DramChannel::IssueFirstReady(Cycle now) {
   const Cycle burst = std::max<Cycle>(
       1, (line_bytes_ + cfg_.bus_bytes_per_cycle - 1) /
              cfg_.bus_bytes_per_cycle);
-  for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-    Bank& bank = banks_[it->bank];
+  for (std::size_t i = 0; i < queue_.size(); ++i) {
+    const Queued& q = queue_[i];
+    Bank& bank = banks_[q.bank];
     if (bank.busy_until > now) continue;
-    const bool row_hit = bank.open_row == it->row;
+    const bool row_hit = bank.open_row == q.row;
     row_hit ? ++row_hits : ++row_misses;
     const Cycle latency = row_hit ? cfg_.t_row_hit : cfg_.t_row_miss;
     const Cycle occupancy = row_hit ? burst : cfg_.t_rc + burst;
-    bank.open_row = it->row;
+    bank.open_row = q.row;
     bank.busy_until = now + occupancy;
     bus_busy_until_ = std::max(bus_busy_until_, now + latency) + burst;
-    const Request& req = it->req;
+    const Request& req = q.req;
     req.write ? ++writes : ++reads;
     in_service_.push_back(
         InService{Completion{req.block, req.write, req.tag}, bus_busy_until_});
-    queue_.erase(it);
+    queue_.erase(i);
     break;
   }
   first_bank_free_ = std::numeric_limits<Cycle>::max();
-  for (const Queued& q : queue_) {
-    first_bank_free_ = std::min(first_bank_free_, banks_[q.bank].busy_until);
+  for (std::size_t i = 0; i < queue_.size(); ++i) {
+    first_bank_free_ =
+        std::min(first_bank_free_, banks_[queue_[i].bank].busy_until);
   }
 }
 
-std::vector<DramChannel::Completion> DramChannel::Tick(Cycle now) {
+void DramChannel::Tick(Cycle now, std::vector<Completion>& done) {
   if (first_bank_free_ <= now) IssueFirstReady(now);
 
-  std::vector<Completion> done;
   while (!in_service_.empty() && in_service_.front().done_at <= now) {
     done.push_back(in_service_.front().completion);
     in_service_.pop_front();
   }
-  return done;
 }
 
 }  // namespace dlpsim

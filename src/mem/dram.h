@@ -5,11 +5,11 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <vector>
 
 #include "sim/config.h"
+#include "sim/ring.h"
 #include "sim/types.h"
 
 namespace dlpsim {
@@ -33,9 +33,9 @@ class DramChannel {
   bool CanAccept() const { return queue_.size() < kQueueCap; }
   void Enqueue(const Request& req);
 
-  /// Advances one memory-domain cycle; returns completions that finished
-  /// at or before `now`.
-  std::vector<Completion> Tick(Cycle now);
+  /// Advances one memory-domain cycle; appends the completions that
+  /// finished at or before `now` to `done`.
+  void Tick(Cycle now, std::vector<Completion>& done);
 
   /// The earliest memory cycle on which Tick does anything: a queued
   /// request's bank comes free, or the oldest request in service
@@ -57,9 +57,9 @@ class DramChannel {
   };
   /// Issued requests in issue order (the invariant checker verifies that
   /// they complete in that order).
-  const std::deque<InService>& in_service() const { return in_service_; }
+  const Ring<InService>& in_service() const { return in_service_; }
   /// White-box tests only: plants the disorder the checker must catch.
-  std::deque<InService>& mutable_in_service() { return in_service_; }
+  Ring<InService>& mutable_in_service() { return in_service_; }
 
   // --- derived mapping (exposed for tests) ---
   std::uint32_t BankOf(Addr block) const;
@@ -89,10 +89,10 @@ class DramChannel {
   DramConfig cfg_;
   std::uint32_t line_bytes_;
   std::uint32_t lines_per_row_;
-  std::deque<Queued> queue_;
+  Ring<Queued> queue_;
   std::vector<Bank> banks_;
   // done_at is bus_busy_until_ at issue, which only grows: FIFO by done_at.
-  std::deque<InService> in_service_;
+  Ring<InService> in_service_;
   Cycle bus_busy_until_ = 0;
   // Earliest busy_until among the banks of queued requests (max when the
   // queue is empty): before that cycle no queued request can issue.

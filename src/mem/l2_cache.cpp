@@ -4,7 +4,10 @@
 
 namespace dlpsim {
 
-L2Cache::L2Cache(const L2Config& cfg) : cfg_(cfg), tags_(cfg.geom) {}
+L2Cache::L2Cache(const L2Config& cfg)
+    : cfg_(cfg),
+      tags_(cfg.geom),
+      pending_(cfg.mshr_entries, cfg.mshr_max_merged) {}
 
 L2Cache::Result L2Cache::AccessRead(Addr block, const IcntPacket& waiter) {
   const std::uint32_t set = tags_.SetOfBlock(block);
@@ -19,9 +22,9 @@ L2Cache::Result L2Cache::AccessRead(Addr block, const IcntPacket& waiter) {
   }
 
   // In flight already? Merge (bounded by the per-entry merge limit).
-  auto it = pending_.find(block);
-  if (it != pending_.end()) {
-    if (it->second.size() >= cfg_.mshr_max_merged) {
+  const std::size_t merged = pending_.TargetCount(block);
+  if (merged > 0) {
+    if (merged >= cfg_.mshr_max_merged) {
       ++stats_.reservation_fails;
       return Result::kStall;
     }
@@ -29,11 +32,11 @@ L2Cache::Result L2Cache::AccessRead(Addr block, const IcntPacket& waiter) {
     ++stats_.loads;
     ++stats_.load_misses;
     ++stats_.mshr_merges;
-    it->second.push_back(waiter);
+    pending_.Merge(block, waiter);
     return Result::kMissMerged;
   }
 
-  if (pending_.size() >= cfg_.mshr_entries) {
+  if (pending_.Full()) {
     ++stats_.reservation_fails;
     return Result::kStall;
   }
@@ -42,7 +45,7 @@ L2Cache::Result L2Cache::AccessRead(Addr block, const IcntPacket& waiter) {
   ++stats_.loads;
   ++stats_.load_misses;
   ++stats_.misses_issued;
-  pending_.emplace(block, std::vector<IcntPacket>{waiter});
+  pending_.Allocate(block, waiter);
   return Result::kMissIssued;
 }
 
@@ -61,11 +64,9 @@ L2Cache::Result L2Cache::AccessWrite(Addr block) {
   return Result::kMissIssued;
 }
 
-std::vector<IcntPacket> L2Cache::Fill(Addr block) {
-  auto it = pending_.find(block);
-  assert(it != pending_.end() && "L2 fill without a pending fetch");
-  std::vector<IcntPacket> waiters = std::move(it->second);
-  pending_.erase(it);
+void L2Cache::Fill(Addr block, std::vector<IcntPacket>& waiters) {
+  assert(pending_.HasEntry(block) && "L2 fill without a pending fetch");
+  pending_.Retire(block, waiters);
   ++stats_.fills;
 
   // Allocate on fill: displace the LRU line (never RESERVED under this
@@ -85,13 +86,11 @@ std::vector<IcntPacket> L2Cache::Fill(Addr block) {
       }
     }
   }
-  return waiters;
 }
 
-std::vector<Addr> L2Cache::TakeWritebacks() {
-  std::vector<Addr> out;
-  out.swap(writebacks_);
-  return out;
+void L2Cache::TakeWritebacks(std::vector<Addr>& out) {
+  out.insert(out.end(), writebacks_.begin(), writebacks_.end());
+  writebacks_.clear();
 }
 
 }  // namespace dlpsim

@@ -10,9 +10,9 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "cache/mshr.h"
 #include "cache/stats.h"
 #include "cache/tag_array.h"
 #include "icnt/crossbar.h"
@@ -41,22 +41,27 @@ class L2Cache {
   Result AccessWrite(Addr block);
 
   /// DRAM returned `block`: allocate the line (possibly displacing a
-  /// dirty victim -> TakeWritebacks) and collect all merged waiters.
-  std::vector<IcntPacket> Fill(Addr block);
+  /// dirty victim -> TakeWritebacks) and append all merged waiters to
+  /// `waiters`, in merge order.
+  void Fill(Addr block, std::vector<IcntPacket>& waiters);
 
-  /// Dirty lines displaced since the last call (the partition turns them
-  /// into DRAM writes).
-  std::vector<Addr> TakeWritebacks();
+  /// Appends the dirty lines displaced since the last call to `out` (the
+  /// partition turns them into DRAM writes).
+  void TakeWritebacks(std::vector<Addr>& out);
 
   const CacheStats& stats() const { return stats_; }
   std::size_t pending_fetches() const { return pending_.size(); }
   const TagArray& tags() const { return tags_; }
   const L2Config& config() const { return cfg_; }
+  /// The MSHR: one entry per block being fetched, its waiters merged.
+  const MshrTableOf<IcntPacket>& mshr() const { return pending_; }
+  /// White-box tests only: plants the corruption the checker must catch.
+  MshrTableOf<IcntPacket>& mutable_mshr() { return pending_; }
 
  private:
   L2Config cfg_;
   TagArray tags_;
-  std::unordered_map<Addr, std::vector<IcntPacket>> pending_;  // MSHR
+  MshrTableOf<IcntPacket> pending_;
   std::vector<Addr> writebacks_;
   CacheStats stats_;
 };

@@ -11,7 +11,7 @@ MemoryPartition::MemoryPartition(const SimConfig& cfg, PartitionId id)
       l2_(cfg.l2),
       dram_(cfg.dram, cfg.l2.geom.line_bytes) {}
 
-void MemoryPartition::ScheduleReply(std::deque<PendingReply>& fifo,
+void MemoryPartition::ScheduleReply(Ring<PendingReply>& fifo,
                                     const IcntPacket& request,
                                     Cycle ready_at) {
   IcntPacket reply;
@@ -27,15 +27,25 @@ void MemoryPartition::ScheduleReply(std::deque<PendingReply>& fifo,
 }
 
 void MemoryPartition::HandleDramCompletions(Cycle now) {
-  for (const DramChannel::Completion& done : dram_.Tick(now)) {
+  completions_.clear();
+  dram_.Tick(now, completions_);
+  for (const DramChannel::Completion& done : completions_) {
     if (done.write) continue;  // fire-and-forget
-    for (const IcntPacket& waiter : l2_.Fill(done.block)) {
+    waiters_.clear();
+    l2_.Fill(done.block, waiters_);
+    for (const IcntPacket& waiter : waiters_) {
       ScheduleReply(dram_replies_, waiter, now);
     }
     // Allocate-on-fill can displace a dirty line at fill time.
-    for (Addr wb : l2_.TakeWritebacks()) {
-      dram_backlog_.push_back(DramChannel::Request{wb, /*write=*/true, 0});
-    }
+    QueueWritebacks();
+  }
+}
+
+void MemoryPartition::QueueWritebacks() {
+  writebacks_.clear();
+  l2_.TakeWritebacks(writebacks_);
+  for (Addr wb : writebacks_) {
+    dram_backlog_.push_back(DramChannel::Request{wb, /*write=*/true, 0});
   }
 }
 
@@ -48,7 +58,7 @@ void MemoryPartition::PushReplies(Cycle now, Crossbar& icnt) {
     const bool dram_ready =
         !dram_replies_.empty() && dram_replies_.front().ready_at <= now;
     if (!l2_ready && !dram_ready) break;
-    std::deque<PendingReply>& fifo =
+    Ring<PendingReply>& fifo =
         l2_ready && (!dram_ready ||
                      l2_replies_.front().seq < dram_replies_.front().seq)
             ? l2_replies_
@@ -116,9 +126,7 @@ void MemoryPartition::Tick(Cycle now, Crossbar& icnt) {
         break;
     }
     // L2 evictions of dirty lines turn into DRAM writes.
-    for (Addr wb : l2_.TakeWritebacks()) {
-      dram_backlog_.push_back(DramChannel::Request{wb, /*write=*/true, 0});
-    }
+    QueueWritebacks();
   }
 
   while (!dram_backlog_.empty() && dram_.CanAccept()) {

@@ -5,13 +5,13 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "icnt/crossbar.h"
 #include "mem/dram.h"
 #include "mem/l2_cache.h"
 #include "sim/config.h"
+#include "sim/ring.h"
 #include "sim/types.h"
 
 namespace dlpsim {
@@ -45,6 +45,8 @@ class MemoryPartition {
   void InjectStallFor(std::uint64_t cycles) { fault_stall_cycles_ += cycles; }
 
   const L2Cache& l2() const { return l2_; }
+  /// White-box tests only: plants the corruption the checker must catch.
+  L2Cache& mutable_l2() { return l2_; }
   const DramChannel& dram() const { return dram_; }
   PartitionId id() const { return id_; }
 
@@ -64,18 +66,18 @@ class MemoryPartition {
   };
   /// The two reply FIFOs, L2 hits and DRAM fills, in schedule order (the
   /// invariant checker verifies each is ordered by ready_at).
-  const std::deque<PendingReply>& l2_replies() const { return l2_replies_; }
-  const std::deque<PendingReply>& dram_replies() const {
-    return dram_replies_;
-  }
+  const Ring<PendingReply>& l2_replies() const { return l2_replies_; }
+  const Ring<PendingReply>& dram_replies() const { return dram_replies_; }
   /// White-box tests only: plants the disorder the checker must catch.
-  std::deque<PendingReply>& mutable_l2_replies() { return l2_replies_; }
+  Ring<PendingReply>& mutable_l2_replies() { return l2_replies_; }
 
  private:
-  void ScheduleReply(std::deque<PendingReply>& fifo, const IcntPacket& request,
+  void ScheduleReply(Ring<PendingReply>& fifo, const IcntPacket& request,
                      Cycle ready_at);
   void PushReplies(Cycle now, Crossbar& icnt);
   void HandleDramCompletions(Cycle now);
+  /// Queues the L2's displaced dirty lines as DRAM writes.
+  void QueueWritebacks();
   Cycle QueuedDue(Cycle now) const;
 
   SimConfig cfg_;
@@ -84,11 +86,16 @@ class MemoryPartition {
   DramChannel dram_;
   // Replies awaiting the icnt, one FIFO per source. Each source's ready_at
   // only grows, so the ready replies of a FIFO are a prefix of it.
-  std::deque<PendingReply> l2_replies_;    // L2 hits: now + l2.latency
-  std::deque<PendingReply> dram_replies_;  // DRAM fills: now
+  Ring<PendingReply> l2_replies_;    // L2 hits: now + l2.latency
+  Ring<PendingReply> dram_replies_;  // DRAM fills: now
   std::uint64_t next_reply_seq_ = 0;
-  std::deque<IcntPacket> retry_;         // requests stalled by the L2
-  std::deque<DramChannel::Request> dram_backlog_;  // L2 misses / writes
+  Ring<IcntPacket> retry_;                   // requests stalled by the L2
+  Ring<DramChannel::Request> dram_backlog_;  // L2 misses / writes
+  // Hand-off buffers from the DRAM channel and the L2, kept across ticks
+  // so that they allocate only while they grow.
+  std::vector<DramChannel::Completion> completions_;
+  std::vector<IcntPacket> waiters_;
+  std::vector<Addr> writebacks_;
   std::uint64_t fault_stall_cycles_ = 0;           // robust/: ticks to swallow
   Cycle next_due_ = 0;  // a new partition is due on its first cycle
 };

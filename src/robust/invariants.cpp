@@ -1,9 +1,9 @@
 #include "robust/invariants.h"
 
 #include <algorithm>
-#include <deque>
 #include <sstream>
 #include <unordered_set>
+#include <vector>
 
 #include "core/l1d_cache.h"
 #include "gpu/simulator.h"
@@ -222,7 +222,7 @@ namespace {
 /// Index of the first entry of `fifo` due before its predecessor, or
 /// npos when `fifo` is ordered by `key`.
 template <typename T>
-std::size_t FirstDisorder(const std::deque<T>& fifo, Cycle T::* key) {
+std::size_t FirstDisorder(const Ring<T>& fifo, Cycle T::* key) {
   for (std::size_t i = 1; i < fifo.size(); ++i) {
     if (fifo[i].*key < fifo[i - 1].*key) return i;
   }
@@ -246,7 +246,7 @@ std::string CheckCrossbar(const Crossbar& icnt) {
                       fifo[i - 1].deliver_at, fifo[i].deliver_at);
   }
   // Tick visits only the busy ports.
-  const std::vector<std::deque<IcntPacket>>& ports = icnt.ports();
+  const std::vector<Ring<IcntPacket>>& ports = icnt.ports();
   for (std::size_t p = 0; p < ports.size(); ++p) {
     if (icnt.Busy(p) != !ports[p].empty()) {
       std::ostringstream os;
@@ -294,10 +294,61 @@ std::string CheckDram(const DramChannel& dram) {
                     service[i - 1].done_at, service[i].done_at);
 }
 
+std::string CheckL2Mshr(const L2Cache& l2) {
+  using Table = MshrTableOf<IcntPacket>;
+  const Table& mshr = l2.mshr();
+  const std::vector<Addr> fetching = mshr.Blocks();  // sorted
+  const auto twice = std::adjacent_find(fetching.begin(), fetching.end());
+  if (twice != fetching.end()) {
+    return "l2_mshr: block " + std::to_string(*twice) + " has two entries";
+  }
+  // Walk every entry's waiter list, then the free list, marking each pool
+  // node reached: a node reached twice is shared, one never reached leaked.
+  const std::vector<Table::Node>& pool = mshr.pool();
+  std::vector<bool> reached(pool.size(), false);
+  const auto reach = [&](std::uint32_t node, const std::string& list) {
+    if (node >= pool.size() || reached[node]) {
+      return "l2_mshr: " + list + " reaches pool node " +
+             std::to_string(node) + (node >= pool.size()
+                                         ? ", past the pool's end"
+                                         : ", already on a list");
+    }
+    reached[node] = true;
+    return std::string();
+  };
+  for (const Table::Entry& entry : mshr.entries()) {
+    const std::string list = "block " + std::to_string(entry.block);
+    if (entry.count == 0 || entry.count > mshr.max_merged()) {
+      return "l2_mshr: " + list + " holds " + std::to_string(entry.count) +
+             " waiters, outside [1, " + std::to_string(mshr.max_merged()) +
+             "]";
+    }
+    std::uint32_t node = entry.head;
+    for (std::uint32_t k = 0; k < entry.count; ++k) {
+      std::string violation = reach(node, list);
+      if (!violation.empty()) return violation;
+      node = pool[node].next;
+    }
+  }
+  for (std::uint32_t node = mshr.free_head(); node != Table::kNil;
+       node = pool[node].next) {
+    std::string violation = reach(node, "the free list");
+    if (!violation.empty()) return violation;
+  }
+  const auto lost = std::find(reached.begin(), reached.end(), false);
+  if (lost != reached.end()) {
+    return "l2_mshr: pool node " + std::to_string(lost - reached.begin()) +
+           " is neither a live waiter nor free";
+  }
+  return "";
+}
+
 std::string CheckPartition(const MemoryPartition& partition, Cycle now_mem) {
   std::string violation = CheckDram(partition.dram());
   if (!violation.empty()) return violation;
-  const std::deque<MemoryPartition::PendingReply>* const fifos[] = {
+  violation = CheckL2Mshr(partition.l2());
+  if (!violation.empty()) return violation;
+  const Ring<MemoryPartition::PendingReply>* const fifos[] = {
       &partition.l2_replies(), &partition.dram_replies()};
   for (const auto* fifo : fifos) {
     const std::size_t j =

@@ -32,6 +32,7 @@ class Crossbar;
 class DramChannel;
 class GpuSimulator;
 class L1DCache;
+class L2Cache;
 class MemoryPartition;
 class SmCore;
 }  // namespace dlpsim
@@ -94,11 +95,16 @@ std::string CheckSmCore(const SmCore& core, Cycle now);
 std::string CheckCrossbar(const Crossbar& icnt);
 /// DRAM requests in service complete in issue order ("dram_order").
 std::string CheckDram(const DramChannel& dram);
-/// CheckDram on the partition's channel; each reply FIFO is ordered by
-/// ready_at ("reply_order"); and no queued work falls due before the
-/// partition's next_due(), which is at most `now_mem + 1` (the cycle
-/// after the last memory cycle ticked) while a request waits to retry
-/// ("next_due").
+/// The L2's flat MSHR is well formed ("l2_mshr"): its blocks are
+/// distinct, each entry holds between 1 and mshr_max_merged waiters, and
+/// every pooled waiter node is on exactly one list, a live entry's or the
+/// free list.
+std::string CheckL2Mshr(const L2Cache& l2);
+/// CheckDram on the partition's channel; CheckL2Mshr on its L2; each
+/// reply FIFO is ordered by ready_at ("reply_order"); and no queued work
+/// falls due before the partition's next_due(), which is at most
+/// `now_mem + 1` (the cycle after the last memory cycle ticked) while a
+/// request waits to retry ("next_due").
 std::string CheckPartition(const MemoryPartition& partition, Cycle now_mem);
 
 class InvariantChecker {

@@ -25,15 +25,14 @@ SmCore::SmCore(const SimConfig& cfg, SmId id, const Program* program,
 }
 
 void SmCore::AcceptResponses(Cycle now, Crossbar& icnt) {
-  std::vector<MshrToken> woken;
   while (icnt.HasForCore(id_)) {
     const IcntPacket pkt = icnt.PopForCore(id_);
     assert(pkt.kind == IcntPacket::Kind::kReadReply);
-    woken.clear();
+    filled_.clear();
     l1d_->Fill(L1DResponse{pkt.addr / cfg_.l1d.geom.line_bytes, pkt.no_fill,
                            pkt.token},
-               now, woken);
-    for (MshrToken token : woken) {
+               now, filled_);
+    for (MshrToken token : filled_) {
       const auto index = static_cast<std::uint32_t>(token);
       Warp& w = warps_[index];
       w.OnTransactionDone();

@@ -105,6 +105,7 @@ class SmCore {
   Coalescer coalescer_;
   std::uint32_t unfinished_warps_ = 0;      // warps not yet retired
   std::vector<std::uint32_t> woken_;        // LD/ST wakes, reused per tick
+  std::vector<MshrToken> filled_;           // tokens a fill wakes, reused
   std::uint64_t other_traffic_credit_ = 0;  // committed insns since last pkt
   std::uint64_t other_traffic_rr_ = 0;      // destination rotation
   Cycle synced_ = 0;       // last cycle whose issue side is applied

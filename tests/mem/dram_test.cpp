@@ -21,7 +21,7 @@ std::vector<DramChannel::Completion> RunUntil(DramChannel& dram,
                                               Cycle max_cycles = 10000) {
   std::vector<DramChannel::Completion> done;
   for (Cycle now = 0; now < max_cycles && done.size() < count; ++now) {
-    for (const auto& c : dram.Tick(now)) done.push_back(c);
+    dram.Tick(now, done);
   }
   return done;
 }
@@ -117,8 +117,10 @@ TEST(Dram, BusSerializesBackToBackBursts) {
   }
   std::size_t total = 0;
   Cycle last = 0;
+  std::vector<DramChannel::Completion> done;
   for (Cycle now = 0; now < 2000 && !dram.Idle(); ++now) {
-    const auto done = dram.Tick(now);
+    done.clear();
+    dram.Tick(now, done);
     total += done.size();
     if (!done.empty()) last = now;
   }
@@ -130,10 +132,11 @@ TEST(Dram, BusSerializesBackToBackBursts) {
 std::vector<Cycle> CompletionCycles(DramChannel& dram, std::size_t count,
                                     Cycle start = 0, Cycle max_cycles = 10000) {
   std::vector<Cycle> cycles;
+  std::vector<DramChannel::Completion> done;
   for (Cycle now = start; now < max_cycles && cycles.size() < count; ++now) {
-    for (std::size_t i = 0; i < dram.Tick(now).size(); ++i) {
-      cycles.push_back(now);
-    }
+    done.clear();
+    dram.Tick(now, done);
+    cycles.insert(cycles.end(), done.size(), now);
   }
   return cycles;
 }
@@ -198,14 +201,15 @@ TEST(Dram, SameBankSameRowRequestsCompleteInQueueOrder) {
 
 TEST(Dram, QueueAndInServiceDepthsTrackIssue) {
   DramChannel dram(SmallDram(), 128);
+  std::vector<DramChannel::Completion> done;
   dram.Enqueue({0, false, 0});  // bank 0
   dram.Enqueue({4, false, 1});  // bank 1: issuable while bank 0 precharges
   EXPECT_EQ(dram.queue_depth(), 2u);
   EXPECT_EQ(dram.in_service_depth(), 0u);
-  dram.Tick(0);  // issues exactly one command per cycle
+  dram.Tick(0, done);  // issues exactly one command per cycle
   EXPECT_EQ(dram.queue_depth(), 1u);
   EXPECT_EQ(dram.in_service_depth(), 1u);
-  dram.Tick(1);
+  dram.Tick(1, done);
   EXPECT_EQ(dram.queue_depth(), 0u);
   EXPECT_EQ(dram.in_service_depth(), 2u);
   RunUntil(dram, 2, 10000);
@@ -216,27 +220,28 @@ TEST(Dram, RequestBehindBusyBanksIssuesTheCycleItsBankFrees) {
   DramConfig cfg = SmallDram();
   cfg.banks = 4;  // lines 0-3 bank 0, 4-7 bank 1, 8-11 bank 2; 16 bank 0
   DramChannel dram(cfg, 128);
+  std::vector<DramChannel::Completion> done;
   dram.Enqueue({0, false, 0});  // bank 0 row miss: issued at 0, busy to 28
   dram.Enqueue({4, false, 1});  // bank 1 row miss: issued at 1, busy to 29
-  dram.Tick(0);
-  dram.Tick(1);
+  dram.Tick(0, done);
+  dram.Tick(1, done);
   dram.Enqueue({16, false, 2});  // bank 0, row 1: waits for cycle 28
   dram.Enqueue({20, false, 3});  // bank 1, row 1: waits for cycle 29
-  for (Cycle now = 2; now < 10; ++now) dram.Tick(now);
+  for (Cycle now = 2; now < 10; ++now) dram.Tick(now, done);
   EXPECT_EQ(dram.queue_depth(), 2u);
 
   // Queued behind two busy-bank requests, a free-bank request issues on
   // the very cycle it arrives.
   dram.Enqueue({8, false, 4});
-  dram.Tick(10);
+  dram.Tick(10, done);
   EXPECT_EQ(dram.queue_depth(), 2u);
   EXPECT_EQ(dram.in_service_depth(), 3u);
 
-  for (Cycle now = 11; now < 28; ++now) dram.Tick(now);
+  for (Cycle now = 11; now < 28; ++now) dram.Tick(now, done);
   EXPECT_EQ(dram.queue_depth(), 2u);
-  dram.Tick(28);  // bank 0 frees
+  dram.Tick(28, done);  // bank 0 frees
   EXPECT_EQ(dram.queue_depth(), 1u);
-  dram.Tick(29);  // bank 1 frees
+  dram.Tick(29, done);  // bank 1 frees
   EXPECT_EQ(dram.queue_depth(), 0u);
   EXPECT_EQ(dram.row_misses, 5u);
 }

@@ -22,10 +22,23 @@ IcntPacket Waiter(std::uint32_t src) {
   return p;
 }
 
+// The waiters a fill of `block` releases.
+std::vector<IcntPacket> Fill(L2Cache& l2, Addr block) {
+  std::vector<IcntPacket> waiters;
+  l2.Fill(block, waiters);
+  return waiters;
+}
+
+std::vector<Addr> Writebacks(L2Cache& l2) {
+  std::vector<Addr> out;
+  l2.TakeWritebacks(out);
+  return out;
+}
+
 TEST(L2Cache, MissFillHit) {
   L2Cache l2(SmallL2());
   EXPECT_EQ(l2.AccessRead(0, Waiter(1)), L2Cache::Result::kMissIssued);
-  const auto waiters = l2.Fill(0);
+  const auto waiters = Fill(l2, 0);
   ASSERT_EQ(waiters.size(), 1u);
   EXPECT_EQ(waiters[0].src, 1u);
   EXPECT_EQ(l2.AccessRead(0, Waiter(2)), L2Cache::Result::kHit);
@@ -38,7 +51,7 @@ TEST(L2Cache, ConcurrentMissesMerge) {
   EXPECT_EQ(l2.AccessRead(5, Waiter(2)), L2Cache::Result::kMissMerged);
   // Merge limit 2 -> the third requester stalls.
   EXPECT_EQ(l2.AccessRead(5, Waiter(3)), L2Cache::Result::kStall);
-  const auto waiters = l2.Fill(5);
+  const auto waiters = Fill(l2, 5);
   ASSERT_EQ(waiters.size(), 2u);
   EXPECT_EQ(waiters[0].src, 1u);
   EXPECT_EQ(waiters[1].src, 2u);
@@ -50,7 +63,7 @@ TEST(L2Cache, MshrCapacityStalls) {
     EXPECT_EQ(l2.AccessRead(b, Waiter(0)), L2Cache::Result::kMissIssued);
   }
   EXPECT_EQ(l2.AccessRead(99, Waiter(0)), L2Cache::Result::kStall);
-  l2.Fill(0);
+  Fill(l2, 0);
   EXPECT_EQ(l2.AccessRead(99, Waiter(0)), L2Cache::Result::kMissIssued);
 }
 
@@ -64,8 +77,8 @@ TEST(L2Cache, AllocateOnFillNeverReservesSets) {
   EXPECT_EQ(l2.AccessRead(2, Waiter(0)), L2Cache::Result::kMissIssued);
   EXPECT_EQ(l2.AccessRead(4, Waiter(0)), L2Cache::Result::kMissIssued);
   EXPECT_EQ(l2.AccessRead(6, Waiter(0)), L2Cache::Result::kMissIssued);
-  l2.Fill(0);
-  l2.Fill(2);
+  Fill(l2, 0);
+  Fill(l2, 2);
   EXPECT_EQ(l2.AccessRead(0, Waiter(0)), L2Cache::Result::kHit);
   EXPECT_EQ(l2.AccessRead(2, Waiter(0)), L2Cache::Result::kHit);
 }
@@ -74,23 +87,23 @@ TEST(L2Cache, FillEvictsLruAndWritesBackDirty) {
   L2Cache l2(SmallL2());
   // Fill blocks 0 and 2 into set 0 and dirty block 0.
   l2.AccessRead(0, Waiter(0));
-  l2.Fill(0);
+  Fill(l2, 0);
   l2.AccessRead(2, Waiter(0));
-  l2.Fill(2);
+  Fill(l2, 2);
   EXPECT_EQ(l2.AccessWrite(0), L2Cache::Result::kHit);
-  EXPECT_TRUE(l2.TakeWritebacks().empty());
+  EXPECT_TRUE(Writebacks(l2).empty());
 
   // A third block displaces LRU (block 0... it was written last, so LRU
   // is block 2). Touch order: 0 filled, 2 filled, 0 written -> LRU = 2.
   l2.AccessRead(4, Waiter(0));
-  l2.Fill(4);
+  Fill(l2, 4);
   EXPECT_EQ(l2.stats().evictions, 1u);
-  EXPECT_TRUE(l2.TakeWritebacks().empty());  // block 2 was clean
+  EXPECT_TRUE(Writebacks(l2).empty());  // block 2 was clean
 
   // Displace again: now the dirty block 0 goes.
   l2.AccessRead(6, Waiter(0));
-  l2.Fill(6);
-  const auto wbs = l2.TakeWritebacks();
+  Fill(l2, 6);
+  const auto wbs = Writebacks(l2);
   ASSERT_EQ(wbs.size(), 1u);
   EXPECT_EQ(wbs[0], 0u);
 }

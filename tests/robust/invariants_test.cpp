@@ -224,8 +224,9 @@ TEST(Invariants, CatchesDramCompletionOutOfIssueOrder) {
   DramChannel dram(cfg, 128);
   dram.Enqueue(DramChannel::Request{0, false, 1});
   dram.Enqueue(DramChannel::Request{4, false, 2});  // the other bank
+  std::vector<DramChannel::Completion> done;
   for (Cycle now = 0; dram.in_service().size() < 2 && now < 100; ++now) {
-    dram.Tick(now);
+    dram.Tick(now, done);
   }
   ASSERT_EQ(dram.in_service().size(), 2u);
   EXPECT_EQ(CheckDram(dram), "");
@@ -246,6 +247,41 @@ TEST(Invariants, CatchesReplyFifoOutOfOrder) {
   // An L2 latency that shrank between two hits.
   replies.push_back(MemoryPartition::PendingReply{IcntPacket{}, 30, 2});
   EXPECT_NE(CheckPartition(partition, 0).find("reply_order"),
+            std::string::npos);
+}
+
+TEST(Invariants, CatchesL2MshrCorruption) {
+  SimConfig sim;
+  sim.num_partitions = 1;
+  MemoryPartition healthy(sim, 0);
+  L2Cache& l2 = healthy.mutable_l2();
+  for (Addr block : {1, 1, 2, 3}) l2.AccessRead(block, IcntPacket{});
+  std::vector<IcntPacket> waiters;
+  l2.Fill(3, waiters);  // one pooled waiter node is free
+  ASSERT_EQ(l2.mshr().entries().size(), 2u);
+  ASSERT_EQ(l2.mshr().entries()[0].count, 2u);
+  EXPECT_EQ(CheckPartition(healthy, 0), "");
+
+  using Entries = std::vector<MshrTableOf<IcntPacket>::Entry>;
+  const auto planted = [&](void (*plant)(Entries&)) {
+    MemoryPartition partition = healthy;
+    plant(partition.mutable_l2().mutable_mshr().mutable_entries());
+    return CheckPartition(partition, 0);
+  };
+  // Two entries for one block.
+  EXPECT_NE(planted([](Entries& e) { e[1].block = e[0].block; })
+                .find("l2_mshr: block 1 has two entries"),
+            std::string::npos);
+  // More waiters than the merge limit.
+  EXPECT_NE(planted([](Entries& e) { e[0].count = 9; }).find("9 waiters"),
+            std::string::npos);
+  // A waiter node dropped from its list without being freed.
+  EXPECT_NE(planted([](Entries& e) { e[0].count = 1; })
+                .find("neither a live waiter nor free"),
+            std::string::npos);
+  // Two lists that share a node.
+  EXPECT_NE(planted([](Entries& e) { e[1].head = e[0].head; })
+                .find("already on a list"),
             std::string::npos);
 }
 
